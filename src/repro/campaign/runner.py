@@ -617,7 +617,11 @@ def run_campaign(config: CampaignConfig, *,
                     if broken and not inflight:
                         break
             finally:
-                executor.shutdown(wait=False, cancel_futures=True)
+                # Join the pool: left to the interpreter's exit hook,
+                # its manager thread closes the wakeup pipe the hook
+                # writes to (an EBADF traceback at exit). Every batch is
+                # done by now, or the pool broke, so the join is short.
+                executor.shutdown(wait=True, cancel_futures=True)
             if requeued:
                 work.extend(requeued)
                 requeued.clear()

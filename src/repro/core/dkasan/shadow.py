@@ -4,11 +4,16 @@
 access" -- one shadow byte tracks an 8-byte granule. D-KASAN extends
 the encoding with DMA exposure: in addition to allocation state, each
 granule knows whether its page is currently device-accessible.
+
+As in KASAN (the ``kasan_shadow`` region of Table 1) the shadow is
+flat and linear: an anonymous mapping the OS zero-fills on first
+touch, so untouched granules read as ``UNTRACKED`` at no memset cost.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
 
 from repro.mem.phys import PAGE_SHIFT
 
@@ -26,11 +31,12 @@ class ShadowState(enum.IntEnum):
 
 
 class ShadowMemory:
-    """Sparse shadow: one state byte per 8-byte granule."""
+    """Flat shadow: one state byte per 8-byte granule, lazily zeroed."""
 
     def __init__(self, phys_bytes: int) -> None:
         self._limit = phys_bytes // GRANULE
-        self._shadow: dict[int, int] = {}
+        # mmap rejects a zero length; the range check still uses _limit
+        self._shadow = mmap.mmap(-1, max(self._limit, 1))
 
     def _index(self, paddr: int) -> int:
         index = paddr // GRANULE
@@ -43,22 +49,17 @@ class ShadowMemory:
                      state: ShadowState) -> None:
         start = self._index(paddr)
         end = self._index(paddr + max(size - 1, 0))
-        for index in range(start, end + 1):
-            if state == ShadowState.UNTRACKED:
-                self._shadow.pop(index, None)
-            else:
-                self._shadow[index] = int(state)
+        self._shadow[start:end + 1] = bytes((state,)) * (end + 1 - start)
 
     def state_at(self, paddr: int) -> ShadowState:
-        return ShadowState(self._shadow.get(self._index(paddr), 0))
+        return ShadowState(self._shadow[self._index(paddr)])
 
     def any_state_in(self, paddr: int, size: int,
                      state: ShadowState) -> bool:
         start = self._index(paddr)
         end = self._index(paddr + max(size - 1, 0))
-        return any(self._shadow.get(i, 0) == int(state)
-                   for i in range(start, end + 1))
+        return self._shadow.find(bytes((state,)), start, end + 1) != -1
 
     @property
     def tracked_granules(self) -> int:
-        return len(self._shadow)
+        return self._limit - self._shadow[:self._limit].count(0)

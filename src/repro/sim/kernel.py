@@ -11,7 +11,7 @@ near-deterministic allocation order persist.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import functools
 
 from repro import metrics, trace
 from repro.cpu.exec import Executor
@@ -32,12 +32,15 @@ from repro.net.stack import ECHO_PORT, NetworkStack
 from repro.sim.clock import SimClock
 from repro.sim.rng import DeterministicRng
 
-if TYPE_CHECKING:
-    pass
-
 #: The build seed fixes the kernel binary (symbols, gadgets) across
 #: boots, the way one installed kernel image persists across reboots.
 DEFAULT_BUILD_SEED = 42
+
+
+@functools.lru_cache(maxsize=4)
+def kernel_image(build_seed: int) -> KernelImage:
+    """The (immutable) image of one build, generated once per process."""
+    return KernelImage(DeterministicRng(build_seed))
 
 
 class Kernel:
@@ -97,8 +100,9 @@ class Kernel:
             self.dma = BounceDmaApi(self.dma, self.phys, self.addr_space,
                                     self.buddy)
 
-        # The image is a property of the *build*, not the boot.
-        self.image = KernelImage(DeterministicRng(build_seed))
+        # The image is a property of the *build*, not the boot: every
+        # boot of one build shares the image memoized per build_seed.
+        self.image = kernel_image(build_seed)
         self.executor = Executor(self.phys, self.addr_space, self.image,
                                  cet_ibt=cet_ibt,
                                  cet_shadow_stack=cet_shadow_stack)

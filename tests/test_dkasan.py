@@ -1,8 +1,12 @@
 """D-KASAN: each event kind, shadow memory, report rendering."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.dkasan import DKasan, format_report, format_sample_lines
-from repro.core.dkasan.shadow import ShadowMemory, ShadowState
+from repro.core.dkasan.shadow import GRANULE, ShadowMemory, ShadowState
 from repro.mem.accounting import AllocSite
+from repro.mem.phys import PAGE_SIZE
 from repro.sim.kernel import Kernel
 
 
@@ -144,3 +148,109 @@ def test_workload_produces_all_dynamic_kinds():
                  "access-after-map", "multiple-map"):
         assert counts[kind] > 0, kind
     assert kernel.stack.stats.oopses == 0
+
+
+# -- flat shadow == the sparse dict shadow it replaced --------------------------
+
+class DictShadowMemory:
+    """Reference model: the sparse dict shadow, one entry per granule."""
+
+    def __init__(self, phys_bytes: int) -> None:
+        self._limit = phys_bytes // GRANULE
+        self._shadow: dict[int, int] = {}
+
+    def _index(self, paddr: int) -> int:
+        index = paddr // GRANULE
+        if not 0 <= index < self._limit:
+            raise ValueError(f"shadow index for paddr {paddr:#x} "
+                             f"out of range")
+        return index
+
+    def poison_range(self, paddr: int, size: int,
+                     state: ShadowState) -> None:
+        start = self._index(paddr)
+        end = self._index(paddr + max(size - 1, 0))
+        for index in range(start, end + 1):
+            if state == ShadowState.UNTRACKED:
+                self._shadow.pop(index, None)
+            else:
+                self._shadow[index] = int(state)
+
+    def state_at(self, paddr: int) -> ShadowState:
+        return ShadowState(self._shadow.get(self._index(paddr), 0))
+
+    def any_state_in(self, paddr: int, size: int,
+                     state: ShadowState) -> bool:
+        start = self._index(paddr)
+        end = self._index(paddr + max(size - 1, 0))
+        return any(self._shadow.get(i, 0) == int(state)
+                   for i in range(start, end + 1))
+
+    @property
+    def tracked_granules(self) -> int:
+        return len(self._shadow)
+
+
+SHADOW_PHYS = 4 * PAGE_SIZE
+states = st.sampled_from(list(ShadowState))
+# a little past both ends of memory, so some calls must raise
+paddrs = st.integers(-2 * GRANULE, SHADOW_PHYS + 2 * GRANULE)
+sizes = st.integers(0, 2 * PAGE_SIZE + GRANULE)   # 0 and page-crossing
+shadow_ops = st.one_of(
+    st.tuples(st.just("poison_range"), paddrs, sizes, states),
+    st.tuples(st.just("state_at"), paddrs),
+    st.tuples(st.just("any_state_in"), paddrs, sizes, states),
+    st.tuples(st.just("tracked_granules")),
+)
+
+
+def _outcome(shadow, op):
+    name, *args = op
+    try:
+        attr = getattr(shadow, name)
+        return ("ok", attr(*args) if args else attr)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(phys_bytes=st.sampled_from([1, GRANULE, SHADOW_PHYS - 3,
+                                   SHADOW_PHYS]),
+       ops=st.lists(shadow_ops, max_size=40))
+def test_flat_shadow_matches_dict_shadow(phys_bytes, ops):
+    flat, ref = ShadowMemory(phys_bytes), DictShadowMemory(phys_bytes)
+    for op in ops:
+        assert _outcome(flat, op) == _outcome(ref, op), op
+    for paddr in range(0, phys_bytes - GRANULE + 1, GRANULE):
+        assert flat.state_at(paddr) == ref.state_at(paddr)
+    assert flat.tracked_granules == ref.tracked_granules
+
+
+DKASAN_PHYS = 8 * PAGE_SIZE
+# few object slots, not page-aligned, so frees and maps keep landing on
+# live objects and windows, and objects straddle pages
+obj_paddrs = st.integers(0, 15).map(lambda i: i * 2056)
+obj_sizes = st.sampled_from([1, 8, 64, 512, PAGE_SIZE, PAGE_SIZE + 64])
+sites = st.sampled_from([AllocSite("kmalloc"), AllocSite("__alloc_skb",
+                                                         0xE0, 0x3F0)])
+devices = st.sampled_from(["dev0", "dev1"])
+sink_ops = st.one_of(
+    st.tuples(st.just("on_alloc"), obj_paddrs, obj_sizes, sites),
+    st.tuples(st.just("on_free"), obj_paddrs, obj_sizes),
+    st.tuples(st.just("on_dma_map"), obj_paddrs, obj_sizes,
+              st.sampled_from(["READ", "WRITE"]), devices, sites),
+    st.tuples(st.just("on_dma_unmap"), obj_paddrs, obj_sizes, devices),
+    st.tuples(st.just("on_device_access"),
+              obj_paddrs | st.integers(0, DKASAN_PHYS - 1), obj_sizes,
+              st.booleans(), devices, st.booleans()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(sink_ops, min_size=30, max_size=80))
+def test_dkasan_events_identical_on_both_shadows(ops):
+    flat, ref = DKasan(DKASAN_PHYS), DKasan(DKASAN_PHYS)
+    ref.shadow = DictShadowMemory(DKASAN_PHYS)
+    for op in ops:
+        assert _outcome(flat, op) == _outcome(ref, op), op
+    assert flat.events == ref.events

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim.kernel import Kernel
+from repro.cpu.text import KernelImage
+from repro.sim.kernel import DEFAULT_BUILD_SEED, Kernel
+from repro.sim.rng import DeterministicRng
 
 
 def test_kaslr_differs_across_boots():
@@ -18,6 +20,38 @@ def test_build_invariant_across_boots():
     assert a.image.text == b.image.text
     assert a.image.symbol("init_net").image_offset == \
         b.image.symbol("init_net").image_offset
+
+
+def test_boots_of_one_build_share_one_image():
+    a = Kernel(seed=5, boot_index=0, phys_mb=128)
+    b = Kernel(seed=6, boot_index=2, phys_mb=128)
+    assert a.image is b.image
+
+
+def test_memoized_image_equals_a_fresh_build():
+    image = Kernel(seed=5, phys_mb=128).image
+    fresh = KernelImage(DeterministicRng(DEFAULT_BUILD_SEED))
+    assert image.text == fresh.text
+    assert image.symbols() == fresh.symbols()
+    assert image.planted_gadgets() == fresh.planted_gadgets()
+
+
+def test_other_build_seed_gives_other_image():
+    default = Kernel(seed=5, phys_mb=128).image
+    other = Kernel(seed=5, phys_mb=128, build_seed=7).image
+    assert other is not default
+    assert other.text != default.text
+    assert other.planted_gadgets() != default.planted_gadgets()
+
+
+def test_image_queries_do_not_leak_into_next_boot():
+    first = Kernel(seed=5, phys_mb=128).image
+    first.symbols().clear()
+    first.planted_gadgets().append((0, "ret"))
+    fresh = KernelImage(DeterministicRng(DEFAULT_BUILD_SEED))
+    image = Kernel(seed=5, boot_index=1, phys_mb=128).image
+    assert image.symbols() == fresh.symbols()
+    assert image.planted_gadgets() == fresh.planted_gadgets()
 
 
 def test_same_boot_is_reproducible():
