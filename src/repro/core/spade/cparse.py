@@ -32,6 +32,12 @@ _STMT_KEYWORDS = {"if", "else", "while", "for", "return", "sizeof",
 _QUALIFIERS = {"static", "const", "volatile", "inline", "extern",
                "__always_inline", "noinline"}
 
+# The hot loops below test ``tok.text`` alone: a punctuator's text fixes
+# its kind, since no identifier, number, literal or preprocessor line
+# can spell ``(``, ``;`` or ``,``.
+_OPENERS = frozenset("([")
+_CLOSERS = frozenset(")]")
+
 
 @dataclass(frozen=True)
 class TypeRef:
@@ -151,15 +157,27 @@ def _join(tokens: list[Token]) -> str:
     return " ".join(t.text for t in tokens)
 
 
+def _c_int(text: str) -> int:
+    """Value of a C integer literal: ``16UL``, ``0x1f``, ``010`` (octal).
+
+    Raises ``ValueError`` on anything else, as ``int`` does.
+    """
+    digits = text.rstrip("uUlL")
+    if len(digits) > 1 and digits[0] == "0" and digits[1] in "01234567":
+        return int(digits, 8)
+    return int(digits, 0)
+
+
 def _split_top_commas(tokens: list[Token]) -> list[list[Token]]:
     parts: list[list[Token]] = [[]]
     depth = 0
     for tok in tokens:
-        if tok.kind == TokKind.PUNCT and tok.text in "([":
+        text = tok.text
+        if text in _OPENERS:
             depth += 1
-        elif tok.kind == TokKind.PUNCT and tok.text in ")]":
+        elif text in _CLOSERS:
             depth -= 1
-        if tok.is_punct(",") and depth == 0:
+        if text == "," and depth == 0:
             parts.append([])
         else:
             parts[-1].append(tok)
@@ -168,21 +186,19 @@ def _split_top_commas(tokens: list[Token]) -> list[list[Token]]:
 
 def _parse_type_and_name(tokens: list[Token]) -> tuple[TypeRef, str] | None:
     """Parse ``struct X **name[N]``-style declarator tokens."""
-    tokens = [t for t in tokens if not (t.kind == TokKind.IDENT
-                                        and t.text in _QUALIFIERS)]
+    tokens = [t for t in tokens if t.text not in _QUALIFIERS]
     if not tokens:
         return None
     array_len = None
-    if len(tokens) >= 3 and tokens[-1].is_punct("]"):
-        if tokens[-2].kind == TokKind.NUMBER and tokens[-3].is_punct("["):
-            array_len = int(tokens[-2].text, 0)
+    if len(tokens) >= 3 and tokens[-1].text == "]":
+        if tokens[-2].kind == TokKind.NUMBER and tokens[-3].text == "[":
+            array_len = _c_int(tokens[-2].text)
             tokens = tokens[:-3]
     if not tokens or tokens[-1].kind != TokKind.IDENT:
         return None
     name = tokens[-1].text
-    type_tokens = tokens[:-1]
-    pointer_level = sum(1 for t in type_tokens if t.is_punct("*"))
-    type_tokens = [t for t in type_tokens if not t.is_punct("*")]
+    type_tokens = [t for t in tokens[:-1] if t.text != "*"]
+    pointer_level = len(tokens) - 1 - len(type_tokens)
     if not type_tokens:
         return None
     if type_tokens[0].is_ident("struct"):
@@ -201,17 +217,17 @@ def _parse_type_and_name(tokens: list[Token]) -> tuple[TypeRef, str] | None:
 def _parse_func_ptr_field(tokens: list[Token]) -> StructField | None:
     """``ret (*name)(args)`` or ``ret (*name[N])(args)``."""
     for i in range(len(tokens) - 3):
-        if tokens[i].is_punct("(") and tokens[i + 1].is_punct("*") \
+        if tokens[i].text == "(" and tokens[i + 1].text == "*" \
                 and tokens[i + 2].kind == TokKind.IDENT:
             name = tokens[i + 2].text
             j = i + 3
             count = 1
-            if j + 2 < len(tokens) and tokens[j].is_punct("[") \
+            if j + 2 < len(tokens) and tokens[j].text == "[" \
                     and tokens[j + 1].kind == TokKind.NUMBER:
-                count = int(tokens[j + 1].text, 0)
+                count = _c_int(tokens[j + 1].text)
                 j += 3  # skip "[ N ]"
-            if j < len(tokens) and tokens[j].is_punct(")") \
-                    and j + 1 < len(tokens) and tokens[j + 1].is_punct("("):
+            if j < len(tokens) and tokens[j].text == ")" \
+                    and j + 1 < len(tokens) and tokens[j + 1].text == "(":
                 return StructField(name, tokens[i].line, None,
                                    is_func_ptr=True, func_ptr_count=count)
     return None
@@ -222,11 +238,12 @@ def _parse_struct_fields(tokens: list[Token], path: str) -> list[StructField]:
     statement: list[Token] = []
     depth = 0
     for tok in tokens:
-        if tok.kind == TokKind.PUNCT and tok.text in "([":
+        text = tok.text
+        if text in _OPENERS:
             depth += 1
-        elif tok.kind == TokKind.PUNCT and tok.text in ")]":
+        elif text in _CLOSERS:
             depth -= 1
-        if tok.is_punct(";") and depth == 0:
+        if text == ";" and depth == 0:
             if statement:
                 func_ptr = _parse_func_ptr_field(statement)
                 if func_ptr is not None:
@@ -248,9 +265,10 @@ def _find_matching(tokens: list[Token], start: int, open_t: str,
     """Index of the punctuator matching ``tokens[start]``."""
     depth = 0
     for i in range(start, len(tokens)):
-        if tokens[i].is_punct(open_t):
+        text = tokens[i].text
+        if text == open_t:
             depth += 1
-        elif tokens[i].is_punct(close_t):
+        elif text == close_t:
             depth -= 1
             if depth == 0:
                 return i
@@ -259,14 +277,16 @@ def _find_matching(tokens: list[Token], start: int, open_t: str,
 
 def _extract_calls(statement: list[Token]) -> list[CallSite]:
     calls = []
-    for i, tok in enumerate(statement[:-1]):
-        if tok.kind == TokKind.IDENT and tok.text not in _STMT_KEYWORDS \
+    for paren in range(1, len(statement)):
+        if statement[paren].text != "(":
+            continue
+        tok = statement[paren - 1]
+        if tok.kind is TokKind.IDENT and tok.text not in _STMT_KEYWORDS \
                 and tok.text not in TYPE_KEYWORDS \
-                and statement[i + 1].is_punct("(") \
-                and (i == 0 or not statement[i - 1].is_punct("->")):
-            close = _find_matching(statement, i + 1, "(", ")")
+                and (paren == 1 or statement[paren - 2].text != "->"):
+            close = _find_matching(statement, paren, "(", ")")
             args = tuple(_join(part) for part in
-                         _split_top_commas(statement[i + 2:close]))
+                         _split_top_commas(statement[paren + 1:close]))
             calls.append(CallSite(tok.text, args, tok.line))
     return calls
 
@@ -276,13 +296,14 @@ def _parse_body(tokens: list[Token], func: FunctionDef) -> None:
     statement: list[Token] = []
     paren_depth = 0
     for tok in tokens:
-        if tok.kind == TokKind.PUNCT and tok.text in "([":
+        text = tok.text
+        if text in _OPENERS:
             paren_depth += 1
-        elif tok.kind == TokKind.PUNCT and tok.text in ")]":
+        elif text in _CLOSERS:
             paren_depth -= 1
-        if tok.kind == TokKind.PUNCT and tok.text in "{}":
+        elif text == "{" or text == "}":
             continue
-        if tok.is_punct(";") and paren_depth == 0:
+        if text == ";" and paren_depth == 0:
             _parse_statement(statement, func)
             statement = []
         else:
@@ -299,7 +320,7 @@ def _parse_statement(statement: list[Token], func: FunctionDef) -> None:
     # declaration (possibly with initializer)
     if first.kind == TokKind.IDENT and first.text in TYPE_KEYWORDS:
         eq_index = next((i for i, t in enumerate(statement)
-                         if t.is_punct("=")), None)
+                         if t.text == "="), None)
         decl_tokens = statement[:eq_index] if eq_index is not None \
             else statement
         parsed = _parse_type_and_name(decl_tokens)
@@ -328,7 +349,8 @@ def _record_assignment(lhs: str, rhs: list[Token], line: int,
 
 def parse_file(path: str, source: str) -> ParsedFile:
     """Parse one C file into structs + functions."""
-    tokens = [t for t in tokenize(source) if t.kind != TokKind.PREPROC]
+    preproc = TokKind.PREPROC
+    tokens = [t for t in tokenize(source) if t.kind is not preproc]
     parsed = ParsedFile(path)
     i = 0
     n = len(tokens)

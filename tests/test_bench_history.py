@@ -111,12 +111,20 @@ def test_window_bounds_the_median():
                                                "spade_uncached_s"}
 
 
-def test_campaign_rates_recorded_but_never_gated():
-    fast = _report()
-    fast["campaign"]["runs"][0]["seeds_per_s"] = 100.0
-    slow = _report()
-    slow["campaign"]["runs"][0]["seeds_per_s"] = 1.0
-    assert _gate(slow, [fast] * 5) == []
+def test_campaign_rate_gated_at_jobs1_only():
+    def report(jobs1, jobs4):
+        rep = _report()
+        rep["campaign"]["runs"] = [
+            {"jobs": 1, "nr_seeds": 4, "seeds_per_s": jobs1},
+            {"jobs": 4, "nr_seeds": 4, "seeds_per_s": jobs4}]
+        return rep
+    priors = [report(10.0, 20.0)] * 5
+    jobs1_drop = _gate(report(7.0, 20.0), priors)
+    assert [(r.metric, r.direction) for r in jobs1_drop] == \
+        [("campaign_seeds_per_s_jobs1", "lower-rate")]
+    # a jobs=4 drop is multiprocess jitter at these sizes: recorded only
+    assert _gate(report(10.0, 14.0), priors) == []
+    assert _gate(report(10.0, 2.0), priors) == []
 
 
 def _scaling_report(jobs1=4.0, jobs2=6.0, jobs4=8.0) -> dict:
