@@ -15,8 +15,7 @@ quirks. The registry ships four models:
 
 Every ``--backend`` consumer resolves names through
 :func:`get_backend`, so an unknown name produces one shared
-:class:`~repro.errors.BackendError` (CLI exit 2, serve protocol
-error).
+:class:`~repro.errors.BackendError` (CLI exit 2).
 """
 
 from __future__ import annotations

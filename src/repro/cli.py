@@ -15,17 +15,16 @@ Subcommands mirror the paper's workflow:
   campaign coverage maps (deterministic trace-derived signatures)
 * ``metrics``   -- run a workload under the metrics registry and
   export the aggregate counters (Prometheus text, JSON, /proc-style)
+* ``cache``     -- inspect, clear, or differentially verify the
+  analysis cache
 * ``bench``     -- tracked perf benchmarks with a JSONL history and a
   rolling-median regression gate
 * ``chaos``     -- run the standard workloads and a differential
   campaign under a deterministic fault-injection plan; exit nonzero
   only on faults the stack failed to recover from
-* ``serve``     -- long-lived SPADE-as-a-service daemon answering
-  analyze/replay/chaos requests over an NDJSON socket protocol,
-  byte-identical to the one-shot commands above
-* ``loadgen``   -- drive a serve daemon with a deterministic mixed
-  request load and feed the latency/throughput numbers into the
-  bench pipeline
+* ``crashtest`` -- kill a campaign at every reachable write, resume
+  it, and prove findings and coverage recover byte-identically
+* ``backends``  -- list or show the pluggable IOMMU backend models
 
 Exit codes are uniform across subcommands: 0 success, 1 the
 experiment ran but its claim failed (attack blocked, seeds failed),
@@ -50,8 +49,7 @@ def _resolve_backend(value):
 
     Returns ``(canonical_name_or_None, error_message_or_None)`` --
     every ``--backend`` consumer funnels unknown names through this
-    one path so they all fail identically (exit 2, same message as
-    the serve protocol's ``backend`` field).
+    one path so they all fail identically (exit 2, same message).
     """
     if value is None:
         return None, None
@@ -163,10 +161,9 @@ def cmd_audit(args) -> int:
     if args.findings_json:
         from repro import durability
         from repro.perfcache.codec import encode_findings
-        from repro.serve.protocol import canonical_json
         durability.atomic_write_text(
             args.findings_json,
-            canonical_json(encode_findings(findings)) + "\n")
+            durability.canonical_json(encode_findings(findings)) + "\n")
         print(f"wrote findings to {args.findings_json}")
     if args.trace:
         matched = [f for f in findings if args.trace in f.file]
@@ -958,41 +955,6 @@ def cmd_crashtest(args) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_serve_section() -> tuple[dict | None, str | None]:
-    """Boot a throwaway analysis daemon and loadgen it, so one bench
-    run produces a BENCH_perf.json with the serve section in the same
-    coherent artifact (no separate serve+loadgen choreography)."""
-    import tempfile
-
-    from repro.errors import ServeError
-    from repro.serve import (AnalysisServer, LoadgenConfig, ServeConfig,
-                             run_loadgen)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as run:
-        socket_path = os.path.join(run, "serve.sock")
-        try:
-            config = ServeConfig.from_env(socket_path=socket_path,
-                                          workers=2, warmup_scale=0.0)
-        except ServeError as exc:
-            return None, str(exc)
-        server = AnalysisServer(config)
-        try:
-            server.start()
-        except OSError as exc:
-            return None, f"cannot bind: {exc}"
-        try:
-            load = LoadgenConfig(nr_requests=24, connections=2,
-                                 rps=0.0, scale=0.25,
-                                 replay_scale=0.1)
-            report = run_loadgen(load, socket_path=socket_path)
-        except ServeError as exc:
-            return None, str(exc)
-        finally:
-            server.request_shutdown()
-            server.stop()
-    return report, None
-
-
 def cmd_bench(args) -> int:
     from repro.perfcache import bench, history
 
@@ -1007,11 +969,6 @@ def cmd_bench(args) -> int:
         campaign_scale=args.campaign_scale, jobs=jobs,
         rounds=args.rounds, kernel_events=args.kernel_events,
         backend=backend)
-    if args.serve:
-        serve_report, error = _bench_serve_section()
-        if error:
-            return _fail(f"bench --serve: {error}")
-        report["serve"] = serve_report
     bench.write_report(report, args.output)
     print(bench.format_report(report))
     print(f"wrote {args.output}")
@@ -1048,142 +1005,6 @@ def cmd_bench(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_serve(args) -> int:
-    import signal
-
-    from repro.errors import ServeError
-    from repro.serve import AnalysisServer, ServeConfig
-
-    backend, error = _resolve_backend(args.backend)
-    if error:
-        return _fail(error)
-    host = port = None
-    if args.tcp:
-        if args.socket:
-            return _fail("serve: --socket and --tcp are mutually "
-                         "exclusive")
-        host, _, port_text = args.tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            return _fail(f"serve: --tcp {args.tcp!r}: expected "
-                         f"HOST:PORT")
-    try:
-        config = ServeConfig.from_env(
-            socket_path=args.socket, host=host, port=port,
-            workers=args.workers, queue_bound=args.queue_bound,
-            memory_budget_bytes=(args.memory_budget << 20
-                                 if args.memory_budget else None),
-            warmup_scale=args.warmup,
-            default_backend=backend,
-            allow_debug_sleep=args.allow_debug_sleep or None)
-    except ServeError as exc:
-        return _fail(f"serve: {exc}")
-    if not config.socket_path and port is None:
-        config.socket_path = "repro-serve.sock"
-
-    server = AnalysisServer(config)
-    try:
-        address = server.start()
-    except OSError as exc:
-        return _fail(f"serve: cannot bind: {exc}")
-    where = address if isinstance(address, str) \
-        else f"{address[0]}:{address[1]}"
-    print(f"serve: listening on {where} "
-          f"(workers={config.workers} "
-          f"queue={config.queue_bound} "
-          f"budget={config.memory_budget_bytes >> 20} MiB)",
-          flush=True)
-
-    def on_signal(_signum, _frame):
-        server.request_shutdown()
-
-    previous = [signal.signal(signal.SIGTERM, on_signal),
-                signal.signal(signal.SIGINT, on_signal)]
-    try:
-        server.wait()
-    finally:
-        signal.signal(signal.SIGTERM, previous[0])
-        signal.signal(signal.SIGINT, previous[1])
-        server.stop()
-    from repro.report.procfs import render_serve_stats
-    print(render_serve_stats(server.stats.snapshot()))
-    if args.stats_output:
-        from repro import durability
-        durability.atomic_write_json(args.stats_output,
-                                     server.stats.snapshot(), indent=2,
-                                     sort_keys=True,
-                                     trailing_newline=True)
-        print(f"wrote serve stats to {args.stats_output}")
-    return 0
-
-
-def cmd_loadgen(args) -> int:
-    from repro.errors import ServeError
-    from repro.perfcache.history import append_history
-    from repro.serve import (LoadgenConfig, format_loadgen_report,
-                             merge_into_bench, parse_mix, run_loadgen,
-                             serve_history_record, wait_until_ready)
-
-    host = port = None
-    if args.tcp:
-        if args.socket:
-            return _fail("loadgen: --socket and --tcp are mutually "
-                         "exclusive")
-        host, _, port_text = args.tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            return _fail(f"loadgen: --tcp {args.tcp!r}: expected "
-                         f"HOST:PORT")
-    if not args.socket and port is None:
-        return _fail("loadgen: need --socket PATH or --tcp HOST:PORT")
-    try:
-        mix = parse_mix(args.mix)
-    except ServeError as exc:
-        return _fail(f"loadgen: {exc}")
-    config = LoadgenConfig(
-        nr_requests=args.requests, connections=args.connections,
-        rps=args.rps, mix=mix, seed=args.seed, retries=args.retries,
-        corpus_seed=args.corpus_seed, scale=args.scale,
-        replay_scale=args.replay_scale,
-        replay_seeds=args.replay_seeds,
-        replay_mutations=args.mutations,
-        chaos_rounds=args.chaos_rounds,
-        chaos_commands=args.chaos_commands,
-        cold_baseline=not args.no_cold_baseline)
-    client_args = {"socket_path": args.socket, "host": host,
-                   "port": port}
-    try:
-        wait_until_ready(client_args, timeout_s=args.connect_timeout)
-    except (ServeError, OSError) as exc:
-        return _fail(f"loadgen: daemon not reachable: {exc}")
-    report = run_loadgen(config, socket_path=args.socket, host=host,
-                         port=port)
-    print(format_loadgen_report(report))
-    if args.output:
-        if args.output.endswith(".json") and "BENCH" in args.output:
-            merge_into_bench(report, args.output)
-        else:
-            from repro import durability
-            durability.atomic_write_json(args.output, report, indent=2,
-                                         sort_keys=True,
-                                         trailing_newline=True)
-        print(f"wrote {args.output}")
-    if args.record:
-        append_history(args.history, serve_history_record(report))
-        print(f"recorded run in {args.history}")
-    ok = report["ok"]
-    if args.require_speedup:
-        speedup = report.get("speedup_warm_vs_cold")
-        if speedup is None or speedup < args.require_speedup:
-            print(f"loadgen: FAIL: warm-vs-cold speedup "
-                  f"{speedup if speedup is not None else 'n/a'} < "
-                  f"required {args.require_speedup}")
-            ok = False
-    return 0 if ok else 1
-
-
 def cmd_backends(args) -> int:
     import json
 
@@ -1217,22 +1038,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="EuroSys '21 DMA-attack reproduction toolkit",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="environment:\n"
-               "  REPRO_CACHE=off     disable the analysis cache "
+               "  REPRO_CACHE=off        disable the analysis cache "
                "process-wide\n"
-               "  REPRO_CACHE_DIR=DIR enable the shared on-disk cache "
-               "tier at DIR\n"
-               "  REPRO_METRICS=off   disable the metrics registry "
+               "  REPRO_CACHE_DIR=DIR    enable the shared on-disk "
+               "cache tier at DIR\n"
+               "  REPRO_METRICS=off      disable the metrics registry "
                "process-wide\n"
-               "  REPRO_FAULTS=PLAN   arm the fault plan at PLAN.json "
-               "(chaos/campaign); 'off' disables\n"
-               "  REPRO_SERVE_SOCKET=PATH      default Unix socket for "
-               "the serve daemon\n"
-               "  REPRO_SERVE_WORKERS=N        serve worker threads "
-               "(default 2)\n"
-               "  REPRO_SERVE_QUEUE=N          serve admission queue "
-               "bound (default 16)\n"
-               "  REPRO_SERVE_MEM_BUDGET=MIB   serve corpus LRU byte "
-               "budget (default 64)")
+               "  REPRO_FAULTS=PLAN      arm the fault plan at "
+               "PLAN.json (chaos/campaign); 'off' disables\n"
+               "  REPRO_DURABILITY=MODE  off|atomic|fsync: how every "
+               "artifact is written (default atomic)")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1243,12 +1058,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "of the generated corpus")
     audit.add_argument("--corpus-seed", type=int, default=2021)
     audit.add_argument("--scale", type=_positive_float, default=1.0,
-                       help="scale the generated corpus (matches the "
-                            "serve daemon's analyze requests)")
+                       help="scale the generated corpus")
     audit.add_argument("--findings-json", metavar="PATH",
-                       help="write the canonical findings JSON (the "
-                            "byte-identity artifact serve compares "
-                            "against)")
+                       help="write the canonical findings JSON")
     audit.add_argument("--dump-tree", metavar="DIR")
     audit.add_argument("--trace", metavar="FILE_SUBSTR",
                        help="print Figure-2 traces for matching files")
@@ -1507,10 +1319,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="--check fails when the jobs=N/jobs=1 "
                             "campaign throughput ratio drops below "
                             "this (0 disables; default: %(default)s)")
-    bench.add_argument("--serve", action="store_true",
-                       help="also boot a throwaway analysis daemon "
-                            "and loadgen it, folding the serve "
-                            "section into the same report")
     bench.set_defaults(func=cmd_bench)
 
     chaos = sub.add_parser(
@@ -1646,44 +1454,6 @@ def build_parser() -> argparse.ArgumentParser:
     oscompare.add_argument("--seed", type=int, default=81)
     oscompare.set_defaults(func=cmd_oscompare)
 
-    serve = sub.add_parser(
-        "serve",
-        help="persistent SPADE-as-a-service analysis daemon")
-    serve.add_argument("--socket", metavar="PATH",
-                       help="Unix socket path (default "
-                            "$REPRO_SERVE_SOCKET, else "
-                            "./repro-serve.sock)")
-    serve.add_argument("--tcp", metavar="HOST:PORT",
-                       help="listen on TCP instead (port 0 = "
-                            "ephemeral)")
-    serve.add_argument("--workers", type=_positive_int, default=None,
-                       help="worker threads "
-                            "(default $REPRO_SERVE_WORKERS or 2)")
-    serve.add_argument("--queue-bound", type=_positive_int,
-                       default=None,
-                       help="admission queue bound; full -> requests "
-                            "are rejected "
-                            "(default $REPRO_SERVE_QUEUE or 16)")
-    serve.add_argument("--memory-budget", type=_positive_int,
-                       default=None, metavar="MIB",
-                       help="corpus LRU byte budget "
-                            "(default $REPRO_SERVE_MEM_BUDGET or 64)")
-    serve.add_argument("--warmup", type=_positive_float, default=None,
-                       metavar="SCALE",
-                       help="pre-run one analyze at SCALE before "
-                            "accepting connections")
-    serve.add_argument("--allow-debug-sleep", action="store_true",
-                       help="honor ping.sleep_ms (load tests only)")
-    serve.add_argument("--stats-output", metavar="PATH",
-                       help="write the serve stats JSON on shutdown")
-    serve.add_argument("--backend", metavar="NAME",
-                       help="default IOMMU backend model for replay "
-                            "requests that do not carry their own "
-                            "'backend' field "
-                            "(default $REPRO_SERVE_BACKEND, else "
-                            "intel-vtd)")
-    serve.set_defaults(func=cmd_serve)
-
     backends_cmd = sub.add_parser(
         "backends",
         help="list or show the pluggable IOMMU backend models")
@@ -1692,55 +1462,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="backend name (show only)")
     backends_cmd.set_defaults(func=cmd_backends)
 
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive a serve daemon with a mixed request load")
-    loadgen.add_argument("--socket", metavar="PATH")
-    loadgen.add_argument("--tcp", metavar="HOST:PORT")
-    loadgen.add_argument("--requests", type=_positive_int, default=50)
-    loadgen.add_argument("--connections", type=_positive_int,
-                         default=4)
-    loadgen.add_argument("--rps", type=float, default=20.0,
-                         help="target aggregate request rate "
-                              "(0 = as fast as possible)")
-    loadgen.add_argument("--mix", default="analyze=6,replay=3,chaos=1",
-                         help="weighted request mix, e.g. "
-                              "analyze=6,replay=3,chaos=1")
-    loadgen.add_argument("--scale", type=_positive_float, default=0.25,
-                         help="analyze corpus scale")
-    loadgen.add_argument("--corpus-seed", type=int, default=2021)
-    loadgen.add_argument("--replay-scale", type=_positive_float,
-                         default=0.1)
-    loadgen.add_argument("--replay-seeds", type=_positive_int,
-                         default=4)
-    loadgen.add_argument("--mutations", type=_positive_int, default=3)
-    loadgen.add_argument("--chaos-rounds", type=_positive_int,
-                         default=6)
-    loadgen.add_argument("--chaos-commands", type=_positive_int,
-                         default=8)
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--retries", type=_positive_int, default=5,
-                         help="per-request retry budget for "
-                              "rejected/aborted/dropped requests")
-    loadgen.add_argument("--connect-timeout", type=_positive_float,
-                         default=30.0,
-                         help="seconds to wait for the daemon to "
-                              "answer ping")
-    loadgen.add_argument("--no-cold-baseline", action="store_true",
-                         help="skip the in-process uncached one-shot "
-                              "baseline measurement")
-    loadgen.add_argument("--require-speedup", type=_positive_float,
-                         default=None, metavar="X",
-                         help="exit 1 unless warm analyze p50 beats "
-                              "the cold one-shot by at least X times")
-    loadgen.add_argument("--output", default="BENCH_perf.json",
-                         help="merge a 'serve' section into this "
-                              "BENCH json (or write a standalone "
-                              "report elsewhere)")
-    loadgen.add_argument("--record", action="store_true",
-                         help="append a record to the bench history")
-    loadgen.add_argument("--history", default="BENCH_history.jsonl")
-    loadgen.set_defaults(func=cmd_loadgen)
     return parser
 
 

@@ -78,9 +78,9 @@ __all__ = [
     "DEFAULT_MODE", "DEFAULT_TMP_MAX_AGE_S", "MODES", "TMP_PREFIX",
     "TMP_SUFFIX", "JournaledAppender", "append_jsonl",
     "atomic_write_bytes", "atomic_write_json", "atomic_write_text",
-    "collect_stale_tmp", "crash_counts", "disarm_crash_points",
-    "mode", "parse_crash_env", "replay_jsonl", "seal_record",
-    "truncate_file", "validate_record",
+    "canonical_json", "collect_stale_tmp", "crash_counts",
+    "disarm_crash_points", "mode", "parse_crash_env", "replay_jsonl",
+    "seal_record", "truncate_file", "validate_record",
 ]
 
 MODES = ("off", "atomic", "fsync")
@@ -103,6 +103,13 @@ CRC_KEY = "_crc"
 #: ``os._exit`` status for a simulated power loss; 137 == 128+SIGKILL,
 #: what a real OOM-kill or ``kill -9`` reports
 CRASH_EXIT_STATUS = 137
+
+#: the mode ``open()`` gives a new file under the process umask;
+#: ``mkstemp`` creates 0600, which an atomic write would otherwise
+#: leave on the target (umask read once: ``os.umask`` can only swap it)
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
 
 
 def mode(environ=None) -> str:
@@ -268,6 +275,7 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
     fd, tmp = tempfile.mkstemp(dir=parent or ".", prefix=TMP_PREFIX,
                                suffix=TMP_SUFFIX)
     try:
+        os.fchmod(fd, _FILE_MODE)
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
@@ -316,15 +324,20 @@ def atomic_write_json(path: str, doc, *, indent=None, sort_keys=False,
 # -- journaled JSONL append streams -------------------------------------------
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def canonical_json(doc) -> str:
+    """The one canonical serialization: sorted keys, no whitespace.
+
+    Record checksums are computed over it, and ``audit
+    --findings-json`` writes it, so equal documents are equal bytes.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def seal_record(record: dict) -> dict:
     """A copy of *record* carrying its CRC32 under :data:`CRC_KEY`."""
     payload = {key: value for key, value in record.items()
                if key != CRC_KEY}
-    crc = zlib.crc32(_canonical(payload).encode("utf-8"))
+    crc = zlib.crc32(canonical_json(payload).encode("utf-8"))
     payload[CRC_KEY] = f"{crc & 0xffffffff:08x}"
     return payload
 
@@ -344,7 +357,7 @@ def validate_record(record: dict) -> dict | None:
         return record
     payload = {key: value for key, value in record.items()
                if key != CRC_KEY}
-    expected = zlib.crc32(_canonical(payload).encode("utf-8"))
+    expected = zlib.crc32(canonical_json(payload).encode("utf-8"))
     if crc != f"{expected & 0xffffffff:08x}":
         return None
     return payload

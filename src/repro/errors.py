@@ -103,14 +103,8 @@ class BackendError(ReproError):
     """Unknown or invalid IOMMU backend model.
 
     The single error path shared by every ``--backend`` consumer (CLI
-    exit code 2) and the serve protocol's ``backend`` request field.
+    exit code 2).
     """
-
-
-class ServeError(ReproError):
-    """Analysis-server misuse or protocol violation (malformed NDJSON
-    request, unknown request type, oversized line, exhausted retry
-    budget against a rejecting/aborting daemon)."""
 
 
 class CampaignError(ReproError):

@@ -47,8 +47,6 @@ TOOLING_SITES = (
     "campaign.worker.crash",   # injected exception inside run_seed
     "campaign.worker.hang",    # injected sleep (arg = seconds)
     "campaign.batch.crash",    # kills a whole warm-worker seed batch
-    "serve.accept_drop",       # daemon drops a connection at accept
-    "serve.request_abort",     # daemon aborts an accepted request
     "durability.post_write",   # tmp file fully written, not yet durable
     "durability.pre_replace",  # right before the atomic os.replace
     "durability.post_replace",  # replaced, parent dir not yet synced
@@ -59,7 +57,7 @@ TOOLING_SITES = (
 SITES = KERNEL_SITES + TOOLING_SITES
 
 #: site prefixes that identify tooling-layer rules (see split())
-_TOOLING_PREFIXES = ("perfcache.", "campaign.", "serve.", "durability.")
+_TOOLING_PREFIXES = ("perfcache.", "campaign.", "durability.")
 
 
 @dataclass(frozen=True)

@@ -45,21 +45,18 @@ from repro.metrics.export import (dump_json, dump_prometheus, json_record,
 from repro.metrics.heartbeat import (DEFAULT_STALL_AFTER_S, Heartbeat,
                                      HeartbeatMonitor, WorkerHealth,
                                      format_progress)
-from repro.metrics.registry import (REQUEST_SLOTS, REQUEST_SUBSYSTEMS,
-                                    SUBSYSTEMS, Counter, Gauge, Histogram,
+from repro.metrics.registry import (SUBSYSTEMS, Counter, Gauge, Histogram,
                                     MetricsRegistry, Sample)
 
 __all__ = [
     "Counter", "DEFAULT_STALL_AFTER_S", "Gauge", "Heartbeat",
     "HeartbeatMonitor", "Histogram", "MetricsError", "MetricsRegistry",
-    "REQUEST_SLOTS", "REQUEST_SUBSYSTEMS",
     "SUBSYSTEMS", "Sample", "WorkerHealth", "active", "count",
     "dkasan_collector", "dump_json", "dump_prometheus", "enabled_in_env",
     "export", "format_progress", "install", "json_record",
     "kernel_collector", "observe", "observe_dkasan", "observe_kernel",
     "perfcache_collector", "prometheus_text", "publish_dkasan",
-    "publish_kernel", "publish_perfcache", "reset_for_request",
-    "session", "set_gauge", "uninstall",
+    "publish_kernel", "publish_perfcache", "session", "set_gauge", "uninstall",
 ]
 
 _OFF_VALUES = ("off", "0", "false", "no")
@@ -131,22 +128,6 @@ def observe_dkasan(dkasan) -> None:
     if registry is not None:
         registry.register_collector(dkasan_collector(dkasan),
                                     slot="dkasan")
-
-
-def reset_for_request() -> int:
-    """Drop the per-request collector slots and instruments.
-
-    Long-lived processes (the ``repro-dma serve`` daemon) call this
-    between requests so the ``kernel``/``dkasan`` collector bindings
-    and the per-workload subsystems never leak from one request's
-    export into the next: the old rule was last-boot-wins *forever*,
-    which is fine for a one-shot CLI run and wrong for a daemon.
-    No-op (returns 0) when metrics are off.
-    """
-    registry = _active
-    if registry is None:
-        return 0
-    return registry.reset_request_scope()
 
 
 # -- push-style hot hooks (no-op guard, same budget as trace) -------------

@@ -28,27 +28,15 @@ Design notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import MetricsError
 
 #: Every subsystem that publishes instruments.  Exporters iterate this
 #: order (then sort within) so output is deterministic.
 SUBSYSTEMS = ("dma", "iommu", "net", "mem", "dkasan", "perfcache",
-              "spade", "campaign", "coverage", "sim", "faults", "serve",
+              "spade", "campaign", "coverage", "sim", "faults",
               "durability")
-
-#: Subsystems whose instruments describe *one* workload/request run
-#: (a booted kernel and the analysis over it) rather than cumulative
-#: process state.  :meth:`MetricsRegistry.reset_request_scope` drops
-#: exactly these, so a long-lived server can make back-to-back
-#: requests export independently instead of last-boot-wins.
-REQUEST_SUBSYSTEMS = ("dma", "iommu", "net", "mem", "dkasan", "sim",
-                      "spade")
-
-#: Collector slots bound by per-request objects (the most recently
-#: booted kernel, its D-KASAN sink); dropped by the same reset.
-REQUEST_SLOTS = ("kernel", "dkasan")
 
 LabelItems = tuple  # tuple[tuple[str, str], ...]
 
@@ -196,36 +184,6 @@ class MetricsRegistry:
             slot = f"anonymous-{self._nr_anonymous}"
             self._nr_anonymous += 1
         self._collectors[slot] = collect
-
-    def unregister_collector(self, slot: str) -> bool:
-        """Drop the collector bound at *slot*; True when one was there."""
-        return self._collectors.pop(slot, None) is not None
-
-    def reset_request_scope(self, *,
-                            slots: Iterable = REQUEST_SLOTS,
-                            subsystems: Iterable = REQUEST_SUBSYSTEMS
-                            ) -> int:
-        """Forget everything the last request/workload published.
-
-        Unbinds the per-request collector *slots* and deletes every
-        instrument under the per-request *subsystems*, returning the
-        number of instruments dropped.  Cumulative process state
-        (``serve``, ``perfcache``, ``faults``, ``campaign``) survives.
-        This replaces the old last-boot-wins-forever behavior for
-        long-lived processes: between requests, a server resets, so
-        two identical back-to-back requests export identically.
-        """
-        for slot in slots:
-            self.unregister_collector(slot)
-        doomed_subsystems = set(subsystems)
-        doomed = [key for key in self._instruments
-                  if key[0] in doomed_subsystems]
-        for key in doomed:
-            del self._instruments[key]
-        for family in [f for f in self._kinds
-                       if f[0] in doomed_subsystems]:
-            del self._kinds[family]
-        return len(doomed)
 
     def collect(self) -> None:
         """Run every collector, refreshing pulled instruments."""

@@ -165,10 +165,10 @@ class PerfCache:
         memory = self._memory
         while len(memory) >= self._memory_entries:
             # dicts iterate in insertion order: drop the oldest entry.
-            # Server worker threads share one cache, so the victim can
-            # vanish (or the dict resize) between the len() check and
-            # the delete -- losing that race is fine, the entry is
-            # gone either way.
+            # Threads sharing one cache can make the victim vanish
+            # (or the dict resize) between the len() check and the
+            # delete -- losing that race is fine, the entry is gone
+            # either way.
             try:
                 del memory[next(iter(memory))]
             except (KeyError, RuntimeError, StopIteration):

@@ -166,46 +166,6 @@ def render_cache_stats(usages, totals) -> str:
     return "\n".join(lines)
 
 
-def render_serve_stats(snapshot: dict) -> str:
-    """Daemon lifetime counters as a stat block.
-
-    *snapshot* is :meth:`~repro.serve.ServeStats.snapshot`: request
-    counts by type/status, admission-control outcomes, corpus-LRU
-    effectiveness, and per-type latency histogram summaries.
-    """
-    lines = ["serve_stats:"]
-    requests = snapshot.get("requests", {})
-    total = sum(requests.values())
-    lines.append(_row("Requests", total))
-    for key in sorted(requests):
-        lines.append(_row(f"  {key}", requests[key]))
-    lines += [
-        _row("Connections", snapshot.get("connections", 0)),
-        _row("ProtocolErrors", snapshot.get("protocol_errors", 0)),
-        _row("Rejected", snapshot.get("rejected", 0)),
-        _row("Aborted", snapshot.get("aborted", 0)),
-        _row("AcceptDrops", snapshot.get("accept_drops", 0)),
-        _row("Batched", snapshot.get("batched", 0)),
-        _row("CorpusHits", snapshot.get("corpus_hits", 0)),
-        _row("CorpusMisses", snapshot.get("corpus_misses", 0)),
-        _row("CorpusEvictions", snapshot.get("corpus_evictions", 0)),
-    ]
-    hits = snapshot.get("corpus_hits", 0)
-    lookups = hits + snapshot.get("corpus_misses", 0)
-    ratio = hits / lookups if lookups else 0.0
-    lines.append(_row("CorpusHitRatio", f"{ratio:.3f}"))
-    for rtype, histogram in sorted(
-            snapshot.get("latency_ms", {}).items()):
-        count = histogram.get("count", 0)
-        if not count:
-            continue
-        mean = histogram.get("total", 0.0) / count
-        lines.append(_row(f"Latency_{rtype}",
-                          f"{mean:.1f}/{histogram.get('max', 0):.1f}",
-                          "ms avg/max"))
-    return "\n".join(lines)
-
-
 def render_coverage_stats(cover) -> str:
     """Campaign coverage map as a ``/proc``-style stat block.
 

@@ -51,8 +51,7 @@ __all__ = [
     "active_categories", "dump_chrome_trace", "dump_jsonl", "emit",
     "enabled", "event_counts",
     "install", "last_seq", "load_jsonl", "observe", "session", "span",
-    "stale_access_count", "summary_record", "unbind_clock", "uninstall",
-    "write_jsonl",
+    "stale_access_count", "summary_record", "uninstall", "write_jsonl",
 ]
 
 #: The installed recorder. ``None`` (the default) means tracing is off
@@ -154,20 +153,6 @@ def bind_clock(clock) -> None:
     recorder = _active
     if recorder is not None:
         recorder.bind_clock(clock)
-
-
-def unbind_clock() -> None:
-    """Detach the installed recorder from its clock, if any.
-
-    Long-lived processes (the ``repro-dma serve`` daemon) call this
-    between requests so a recorder never keeps stamping events from a
-    finished request's kernel: the next boot re-binds explicitly
-    instead of inheriting a stale time base (events stamp 0.0 until
-    then).
-    """
-    recorder = _active
-    if recorder is not None:
-        recorder.bind_clock(None)
 
 
 class _NullSpanContext:

@@ -1,5 +1,5 @@
-"""Cross-backend differential campaigns, serve protocol backends, and
-per-backend BENCH history lanes."""
+"""Cross-backend differential campaigns and per-backend BENCH history
+lanes."""
 
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from repro.campaign import (backend_results_path,
 from repro.campaign.results import (_VOLATILE_KEYS, findings_digest,
                                     load_records)
 from repro.campaign.runner import CampaignConfig, run_seed
-from repro.errors import CampaignError, ServeError
-from repro.serve import normalize_request, parse_request
+from repro.errors import CampaignError
 
 SCALE = 0.06
 
@@ -137,52 +136,6 @@ def test_multi_backend_campaign_end_to_end(tmp_path):
     summary_text = format_multi_backend_summary(multi)
     assert "backend-window" in summary_text
     assert os.path.basename(multi.cross_output) == "run.cross.jsonl"
-
-
-# -- serve protocol backend field -------------------------------------------
-
-def test_serve_replay_carries_non_default_backend():
-    request = parse_request(
-        b'{"type": "replay", "seed": 4, "backend": "arm-smmuv3"}')
-    assert request["backend"] == "arm-smmuv3"
-
-
-def test_serve_replay_default_backend_is_normalized_away():
-    # explicit intel-vtd and absent field must hash identically
-    explicit = parse_request(
-        b'{"type": "replay", "seed": 4, "backend": "intel-vtd"}')
-    absent = parse_request(b'{"type": "replay", "seed": 4}')
-    assert "backend" not in explicit
-    assert explicit == absent
-
-
-def test_serve_default_backend_config_applies_to_replay():
-    request = parse_request(b'{"type": "replay", "seed": 4}',
-                            default_backend="amd-vi")
-    assert request["backend"] == "amd-vi"
-    # a server pinned to the default backend changes nothing
-    request = parse_request(b'{"type": "replay", "seed": 4}',
-                            default_backend="intel-vtd")
-    assert "backend" not in request
-
-
-def test_serve_analyze_validates_then_drops_backend():
-    # SPADE is static analysis: findings are backend-independent, so
-    # the field is validated (bad names still fail fast) but dropped
-    # from the normalized request to keep batch coalescing intact.
-    request = normalize_request(
-        {"type": "analyze", "backend": "arm-smmuv3"})
-    assert "backend" not in request
-    with pytest.raises(ServeError, match="unknown IOMMU backend"):
-        normalize_request({"type": "analyze", "backend": "bogus"})
-
-
-def test_serve_rejects_bad_backend_values():
-    with pytest.raises(ServeError, match="unknown IOMMU backend"):
-        parse_request(b'{"type": "replay", "seed": 1, '
-                      b'"backend": "powervm"}')
-    with pytest.raises(ServeError, match="expected str"):
-        parse_request(b'{"type": "replay", "seed": 1, "backend": 3}')
 
 
 # -- BENCH history lanes ----------------------------------------------------

@@ -352,15 +352,6 @@ def test_cli_coverage_bad_input(tmp_path, capsys):
     assert "coverage report:" in capsys.readouterr().err
 
 
-def test_serve_replay_carries_the_coverage_digest():
-    from repro.serve.handlers import handle_replay
-    response = handle_replay({"seed": 4, "base_seed": 2021,
-                              "mutations": 2, "scale": SCALE,
-                              "phys_mb": 256, "backend": None})
-    assert response["coverage_digest"] == \
-        response["record"]["coverage"]["digest"]
-
-
 # -- satellite: merge names its missing seeds -------------------------------
 
 def test_format_seed_ranges_compresses_runs():

@@ -111,6 +111,27 @@ def test_fsync_mode_syncs_file_and_parent_dir(tmp_path, monkeypatch):
     assert synced == []
 
 
+@pytest.mark.parametrize("active", durability.MODES)
+def test_atomic_write_gives_the_umask_mode_in_every_mode(tmp_path,
+                                                          monkeypatch,
+                                                          active):
+    # a plain open() would give 0o666 & ~umask; mkstemp's 0600 must
+    # not leak onto the target, neither fresh nor over an existing file
+    umask = os.umask(0)
+    os.umask(umask)
+    expected = 0o666 & ~umask
+    monkeypatch.setenv("REPRO_DURABILITY", active)
+    fresh = str(tmp_path / "fresh.json")
+    durability.atomic_write_text(fresh, "x")
+    assert os.stat(fresh).st_mode & 0o777 == expected
+    existing = str(tmp_path / "existing.json")
+    with open(existing, "w", encoding="utf-8") as handle:
+        handle.write("old")
+    assert os.stat(existing).st_mode & 0o777 == expected
+    durability.atomic_write_text(existing, "new")
+    assert os.stat(existing).st_mode & 0o777 == expected
+
+
 def test_genuine_write_error_cleans_up_tmp(tmp_path, monkeypatch):
     real_replace = os.replace
 

@@ -1,13 +1,16 @@
-"""Concurrent PerfCache use: the access pattern the daemon creates.
+"""Concurrent PerfCache use: many writers, one ``--cache-dir``.
 
-One-shot CLI runs touch the cache from a single thread; ``repro-dma
-serve`` hands one shared :class:`PerfCache` to a pool of workers.
-These tests pin the properties that makes safe:
+A parallel campaign's worker processes and any one-shot CLI run
+started beside it (``audit``, ``cache verify``, a second campaign)
+share one on-disk cache tier. Threads stand in for those processes
+here: they give the tightest interleavings against one directory,
+and they also cover the memory tier, which is lock-free by design.
+These tests pin the properties that make sharing safe:
 
 * many threads hammering one cache on the *same* keys compute at most
   a bounded number of times and never corrupt the memory tier,
-* two cache instances sharing one directory (daemon + one-shot CLI
-  side by side) interoperate through the disk tier,
+* two cache instances sharing one directory (a campaign worker and a
+  one-shot CLI run side by side) interoperate through the disk tier,
 * a corrupt disk entry under contention is detected by every reader
   (key validation) and recomputed, never served.
 """
@@ -81,8 +84,8 @@ def test_threads_sharing_cache_compute_bounded_times(tmp_path):
 
 
 def test_two_instances_share_one_directory(tmp_path):
-    """Daemon and one-shot CLI sharing a cache dir: writes from one
-    process-equivalent are disk hits in the other."""
+    """Campaign worker and one-shot CLI sharing a cache dir: writes
+    from one process-equivalent are disk hits in the other."""
     writer = PerfCache(str(tmp_path))
     reader = PerfCache(str(tmp_path))
     key = content_key("shared", "payload")
