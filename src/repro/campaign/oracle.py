@@ -153,9 +153,13 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
     and additionally probes every site's post-unmap vulnerability
     window (Fig 6 per call site), recorded in ``window_sites`` --
     the axis cross-backend campaigns diff.
+
+    SPADE reads the shared cache through a
+    :class:`~repro.perfcache.ReadThroughView`: a derived tree's
+    entries are unique to its seed, so none of them is persisted.
     """
     from repro import backends as backend_registry
-    from repro import trace
+    from repro import perfcache, trace
     from repro.core.dkasan import DKasan
     from repro.core.spade import Spade, exposures_by_site
     from repro.coverage import COVERAGE_CATEGORIES, CoverageCollector
@@ -166,7 +170,9 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
     spec = (backend_registry.resolve_backend(backend_name)
             if backend_name is not None else None)
 
-    spade_labels = exposures_by_site(Spade(tree).analyze())
+    seed_cache = perfcache.ReadThroughView(perfcache.default_cache())
+    spade_labels = exposures_by_site(Spade(tree, cache=seed_cache)
+                                     .analyze())
 
     collector = CoverageCollector() if coverage else None
     recorder = None

@@ -70,6 +70,7 @@ from repro.campaign.results import (CampaignSummary, append_record,
                                     completed_seeds, failure_record,
                                     load_records, result_record,
                                     summarize)
+from repro.core.spade.cindex import CodeIndex
 from repro.metrics.heartbeat import (DEFAULT_STALL_AFTER_S, Heartbeat,
                                      HeartbeatMonitor, WorkerHealth)
 
@@ -331,6 +332,19 @@ def _batch_size(avg_seed_s: float | None, nr_pending: int, jobs: int, *,
     return max(1, min(by_time, fair_share, max_batch))
 
 
+def _persist_base_parse_trees(mutator: CorpusMutator) -> None:
+    """Put the base corpus's parse trees in the shared disk tier.
+
+    Seeds analyze through a :class:`~repro.perfcache.ReadThroughView`,
+    which persists nothing, so the trees every later process and every
+    jobs=N worker reads reach the disk here: once per run, before the
+    first seed. On a warm cache every lookup is a disk hit.
+    """
+    cache = perfcache.default_cache()
+    if cache.enabled and cache.directory is not None:
+        CodeIndex(mutator.base_view()[0], cache=cache)
+
+
 def run_campaign(config: CampaignConfig, *,
                  progress: Callable[[dict], None] | None = None,
                  heartbeat: Callable[[list[WorkerHealth]], None]
@@ -443,13 +457,15 @@ def run_campaign(config: CampaignConfig, *,
 
     if config.cache_dir:
         perfcache.configure(config.cache_dir)
+    mutator = CorpusMutator(config.base_seed, scale=config.scale)
+    if pending:
+        _persist_base_parse_trees(mutator)
 
     if config.jobs <= 1:
         beat = Heartbeat(config.heartbeat_dir, "main") \
             if config.heartbeat_dir else None
         # one warm mutator for the whole inline run: the base corpus
         # is materialized once, every seed derives from the same view
-        mutator = CorpusMutator(config.base_seed, scale=config.scale)
         queue = deque(pending)
         nr_done = 0
         while queue:
@@ -480,15 +496,15 @@ def run_campaign(config: CampaignConfig, *,
     if pending:
         snapshot_root = config.snapshot_dir
         if not snapshot_root and config.cache_dir:
-            snapshot_root = os.path.join(config.cache_dir, "snapshots")
+            snapshot_root = os.path.join(config.cache_dir,
+                                         perfcache.SNAPSHOTS_DIR)
         if not snapshot_root:
             scratch_snapshot_root = tempfile.mkdtemp(
                 prefix="repro-campaign-snap-")
             snapshot_root = scratch_snapshot_root
         try:
-            snapshot_path = snapshot_store.materialize(
-                CorpusMutator(config.base_seed, scale=config.scale),
-                snapshot_root)
+            snapshot_path = snapshot_store.materialize(mutator,
+                                                       snapshot_root)
         except OSError:
             # a snapshot is an optimization, never a requirement:
             # workers fall back to the cache/regenerate path

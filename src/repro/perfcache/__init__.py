@@ -16,7 +16,10 @@ levels, all keyed by content, never by timestamp:
 
 Two tiers: an in-process object cache (shared parse trees, no decode
 cost) over an optional on-disk JSON store that campaign workers and
-repeat CLI runs warm from. Correctness is enforced differentially --
+repeat CLI runs warm from. A campaign seed reads both tiers but
+persists nothing (:class:`~repro.perfcache.store.ReadThroughView`):
+its mutated corpus is its own, so only the base corpus's entries are
+worth keeping on disk. Correctness is enforced differentially --
 ``repro-dma cache verify`` and the tier-1 tests require cached and
 uncached runs to produce byte-identical findings.
 
@@ -31,15 +34,16 @@ from __future__ import annotations
 import os
 
 from repro.perfcache.store import (CACHE_SCHEMA, DEFAULT_MEMORY_ENTRIES,
-                                   NAMESPACES, STATS_DIR, CacheStats,
-                                   NamespaceUsage, PerfCache, content_key,
+                                   NAMESPACES, SNAPSHOTS_DIR, STATS_DIR,
+                                   CacheStats, NamespaceUsage, PerfCache,
+                                   ReadThroughView, content_key,
                                    file_digest)
 
 __all__ = [
-    "CACHE_SCHEMA", "DEFAULT_MEMORY_ENTRIES", "NAMESPACES", "STATS_DIR",
-    "CacheStats", "NamespaceUsage", "PerfCache", "cache_from_env",
-    "configure", "content_key", "default_cache", "file_digest",
-    "reset_default",
+    "CACHE_SCHEMA", "DEFAULT_MEMORY_ENTRIES", "NAMESPACES",
+    "SNAPSHOTS_DIR", "STATS_DIR", "CacheStats", "NamespaceUsage",
+    "PerfCache", "ReadThroughView", "cache_from_env", "configure",
+    "content_key", "default_cache", "file_digest", "reset_default",
 ]
 
 _OFF_VALUES = ("off", "0", "false", "no")

@@ -4,10 +4,25 @@ Layout of one cache directory::
 
     <dir>/CACHE.json                     marker + schema version
     <dir>/<namespace>/<kk>/<key>.json    one entry per content key
+    <dir>/stats/STATS-<pid>-<id>.json    per-process CacheStats
+    <dir>/snapshots/snap-<key>/          parallel-campaign base corpora
 
 Keys are hex SHA-256 digests of whatever identifies the computation
 (source bytes, analyzer versions, parameters); ``<kk>`` is the first
 two hex characters, which keeps directories small at corpus scale.
+
+Only keys a later lookup can hit are persisted: generated corpora,
+the parse trees of a corpus analyzed in full (a campaign's base
+corpus, which every seed of every run reads again), and the findings
+of ``Spade(tree).analyze()`` outside a campaign seed (``audit``,
+``cache verify``, the paper figures). A campaign seed analyzes a
+corpus derived for it alone, through a :class:`ReadThroughView`: it
+reads both tiers, keeps the parse trees of its mutated files in the
+memory tier only, and stores its findings nowhere. Over 400 warm
+seeds, 158 mutated-file trees were read again 1,176 times (mutations
+recur), while none of the 400 per-seed findings entries was; keeping
+those findings grew a jobs=1 process from 54 to 125 MiB. So the disk
+tier stops growing with the seed count.
 
 Tier 1 is an in-process dict holding the *decoded objects* -- a hit
 costs one dict lookup and returns the very same parse tree or finding
@@ -45,6 +60,10 @@ DEFAULT_MEMORY_ENTRIES = 8192
 
 #: subdirectory holding per-process persisted CacheStats snapshots
 STATS_DIR = "stats"
+
+#: subdirectory where parallel campaigns put their base-corpus
+#: snapshots (see :mod:`repro.campaign.snapshot`)
+SNAPSHOTS_DIR = "snapshots"
 
 
 def content_key(*parts: str) -> str:
@@ -126,11 +145,15 @@ class PerfCache:
     # -- the one entry point callers use -------------------------------------
 
     def cached(self, namespace: str, key: str, compute, *,
-               encode=None, decode=None):
+               encode=None, decode=None, keep: str | None = "disk"):
         """Return the cached value for (namespace, key) or compute it.
 
         ``encode(obj) -> json-able`` / ``decode(payload) -> obj`` gate
         the disk tier; without them the entry lives in memory only.
+        ``keep`` says where a computed miss goes: ``"disk"`` (the
+        default) stores it and counts a store; ``"memory"`` keeps it
+        in the memory tier only and ``None`` nowhere, neither counted
+        as a store. The last two are :class:`ReadThroughView`'s.
         """
         if not self.enabled:
             self.stats.bypasses += 1
@@ -149,14 +172,18 @@ class PerfCache:
                     self.stats.corrupt += 1
                 else:
                     self.stats.disk_hits += 1
-                    self._memory_store(memory_key, obj)
+                    if keep is not None:
+                        self._memory_store(memory_key, obj)
                     return obj
         self.stats.misses += 1
         obj = compute()
-        self._memory_store(memory_key, obj)
-        if self._disk_usable and encode is not None:
-            self._disk_write(namespace, key, encode(obj))
-        self.stats.stores += 1
+        if keep == "disk":
+            self._memory_store(memory_key, obj)
+            if self._disk_usable and encode is not None:
+                self._disk_write(namespace, key, encode(obj))
+            self.stats.stores += 1
+        elif keep == "memory":
+            self._memory_store(memory_key, obj)
         return obj
 
     # -- memory tier ---------------------------------------------------------
@@ -308,18 +335,23 @@ class PerfCache:
     # -- maintenance (the ``repro-dma cache`` subcommand) ---------------------
 
     def disk_usage(self) -> list[NamespaceUsage]:
-        """Entry counts and byte totals per namespace on disk."""
+        """Entry counts and byte totals per namespace on disk, then the
+        campaign snapshots (one entry per snapshot directory)."""
         out = []
         if self.directory is None or not os.path.isdir(self.directory):
             return out
-        for namespace in NAMESPACES:
+        for namespace in (*NAMESPACES, SNAPSHOTS_DIR):
             usage = NamespaceUsage(namespace)
             root = os.path.join(self.directory, namespace)
-            for dirpath, _dirnames, filenames in os.walk(root):
+            for dirpath, dirnames, filenames in os.walk(root):
+                if namespace == SNAPSHOTS_DIR:
+                    if dirpath == root:
+                        usage.entries = len(dirnames)
+                else:
+                    filenames = [name for name in filenames
+                                 if name.endswith(".json")]
+                    usage.entries += len(filenames)
                 for name in filenames:
-                    if not name.endswith(".json"):
-                        continue
-                    usage.entries += 1
                     try:
                         usage.bytes += os.path.getsize(
                             os.path.join(dirpath, name))
@@ -334,19 +366,23 @@ class PerfCache:
             return True
         if os.path.exists(os.path.join(self.directory, MARKER_NAME)):
             return True
-        # an empty directory is fine to adopt
-        return not os.listdir(self.directory)
+        # an empty directory is fine to adopt, and so is one holding
+        # only our own subdirectories (a snapshot written before the
+        # first entry, or the leftovers of an older ``clear``)
+        return set(os.listdir(self.directory)) \
+            <= {*NAMESPACES, STATS_DIR, SNAPSHOTS_DIR}
 
     def clear_disk(self) -> int:
-        """Remove every namespace entry; returns entries removed.
+        """Remove every entry, stats file and snapshot file; returns
+        the number of files removed.
 
-        Only touches the namespace subdirectories and the marker --
-        never unrelated files someone else put next to them.
+        Only touches our own subdirectories and the marker -- never
+        unrelated files someone else put next to them.
         """
         removed = 0
         if self.directory is None or not os.path.isdir(self.directory):
             return removed
-        for namespace in (*NAMESPACES, STATS_DIR):
+        for namespace in (*NAMESPACES, STATS_DIR, SNAPSHOTS_DIR):
             root = os.path.join(self.directory, namespace)
             for dirpath, dirnames, filenames in os.walk(root,
                                                         topdown=False):
@@ -371,3 +407,25 @@ class PerfCache:
             pass
         self.drop_memory()
         return removed
+
+
+class ReadThroughView:
+    """A :class:`PerfCache` as a campaign seed sees it.
+
+    Lookups read both tiers exactly as :meth:`PerfCache.cached` does
+    (and go through it). A miss keeps a parse tree in the memory tier
+    only and any other entry -- the seed's whole-corpus findings --
+    nowhere, so a seed writes nothing to disk and ``stats.stores``
+    does not move; ``stats.misses`` still counts every computation.
+    """
+
+    #: namespace -> where a computed miss is kept (absent: nowhere)
+    KEEP = {"parse": "memory"}
+
+    def __init__(self, cache: PerfCache) -> None:
+        self.cache = cache
+
+    def cached(self, namespace: str, key: str, compute, *,
+               encode=None, decode=None):
+        return self.cache.cached(namespace, key, compute, decode=decode,
+                                 keep=self.KEEP.get(namespace))

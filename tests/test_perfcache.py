@@ -115,6 +115,67 @@ def test_clear_disk_refuses_nothing_but_never_unrelated_files(tmp_path):
     assert sum(usage.entries for usage in cache.disk_usage()) == 0
 
 
+def test_read_through_view_persists_nothing(tmp_path):
+    directory = str(tmp_path / "cache")
+    shared = PerfCache(directory)
+    for namespace in ("parse", "findings"):
+        shared.cached(namespace, "stored", lambda: [1],
+                      encode=lambda obj: obj, decode=lambda data: data)
+    cache = PerfCache(directory)
+    view = perfcache.ReadThroughView(cache)
+    for namespace in ("parse", "findings"):
+        # both tiers still read: a stored entry is a disk hit
+        assert view.cached(namespace, "stored",
+                           lambda: pytest.fail("recompute"),
+                           encode=lambda obj: obj,
+                           decode=lambda data: data) == [1]
+        assert view.cached(namespace, "new", lambda: [2],
+                           encode=lambda obj: obj,
+                           decode=lambda data: data) == [2]
+    assert cache.stats.disk_hits == 2
+    assert cache.stats.misses == 2
+    assert cache.stats.stores == 0
+    # a new parse tree stays in memory; findings are kept nowhere, not
+    # even a findings disk hit
+    assert cache.nr_memory_entries == 2
+    calls = []
+    view.cached("parse", "new", lambda: calls.append("parse"))
+    view.cached("findings", "new", lambda: calls.append("findings"))
+    assert calls == ["findings"]
+    assert sorted(usage.entries for usage in cache.disk_usage()
+                  if usage.namespace in ("parse", "findings")) == [1, 1]
+
+
+def test_cache_clear_removes_campaign_snapshots(tmp_path, capsys):
+    """A snapshot alone (no marker yet) is a cache directory, ``cache
+    stats`` reports it, and ``clear`` leaves nothing that turns the
+    directory into a foreign one."""
+    from repro.campaign import snapshot
+    from repro.campaign.mutate import CorpusMutator
+    from repro.cli import main
+
+    directory = tmp_path / "cache"
+    snapshot.materialize(CorpusMutator(2021, scale=0.05),
+                         str(directory / perfcache.SNAPSHOTS_DIR))
+    args = ["--cache-dir", str(directory)]
+
+    def snapshot_row() -> list[str]:
+        assert main(["cache", "stats", *args]) == 0
+        return next(line.split() for line in
+                    capsys.readouterr().out.splitlines()
+                    if line.startswith("snapshots"))
+
+    assert snapshot_row()[1] == "1"
+    PerfCache(str(directory)).cached(
+        "parse", "k", lambda: 1, encode=lambda obj: obj,
+        decode=lambda data: data)
+    assert main(["cache", "clear", *args]) == 0
+    assert not (directory / perfcache.SNAPSHOTS_DIR).exists()
+    assert snapshot_row()[1:] == ["0", "0"]
+    assert main(["cache", "clear", *args]) == 0
+    assert os.listdir(directory) == []
+
+
 def test_env_knobs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE", "off")
     assert not perfcache.cache_from_env().enabled
