@@ -7,8 +7,8 @@ corpora with per-call-site ground truth, at corpus scale:
   trees derived from :mod:`repro.corpus`, manifests kept exact;
 * :func:`~repro.campaign.oracle.run_differential` -- score both
   detectors against one tree's ground truth;
-* :func:`~repro.campaign.runner.run_campaign` -- fan seed batches out
-  over warm worker processes sharing one base-corpus snapshot, with
+* :func:`~repro.campaign.runner.run_campaign` -- fan seeds out over
+  warm worker processes sharing one base-corpus snapshot, with
   per-seed timeouts, crash capture, JSONL streaming, and resume;
 * :func:`~repro.campaign.shard.run_sharded_campaign` -- scale past one
   process tree: independent runners claim seed ranges from a dir-based

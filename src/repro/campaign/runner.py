@@ -1,58 +1,49 @@
-"""The parallel campaign runner.
+"""The campaign runner.
 
-Built for raw throughput: seeds fan out over long-lived **warm
-workers** (a ``ProcessPoolExecutor`` whose initializer runs once per
-process: configure the shared cache, adopt the parent's base-corpus
-snapshot, compile nothing per task) and travel in **batches** -- the
-parent sizes each task to carry at least
-:attr:`CampaignConfig.batch_target_s` of work (adaptive, from an EWMA
-of observed per-seed duration), so submit/pickle/result IPC is paid
-per batch instead of per seed. The base corpus itself is materialized
-exactly once into a content-addressed mmap-friendly snapshot (see
+At jobs=1 seeds run inline, in this process. At jobs=N they fan out
+over long-lived **warm workers**: a ``ProcessPoolExecutor`` whose
+initializer runs once per process (configure the shared cache, adopt
+the parent's base-corpus snapshot, compile nothing per task), and each
+task carries one seed. The base corpus itself is materialized exactly
+once into a content-addressed mmap-friendly snapshot (see
 :mod:`repro.campaign.snapshot`) that every worker opens read-only;
 :meth:`~repro.campaign.mutate.CorpusMutator.base_view` then serves
 every seed from the same in-memory tree with zero corpus copies.
 
-Each worker enforces its own per-seed wall-clock timeout via
-``SIGALRM`` and converts every failure -- timeout, exception, even a
-worker-pool collapse -- into a result record, so one pathological
-seed never kills the campaign. Results stream to JSONL the moment
-they arrive (see :mod:`repro.campaign.results`), which is what makes
-``--resume`` lossless.
+Every seed runs under a ``SIGALRM`` wall-clock timeout
+(``timeout_s``) at every job count, and every failure -- timeout,
+exception, even a worker-pool collapse -- becomes a result record, so
+one pathological seed never kills the campaign. Results stream to
+JSONL the moment they arrive (see :mod:`repro.campaign.results`),
+which is what makes ``--resume`` lossless.
 
-Health telemetry: when ``heartbeat_dir`` is set, every worker rewrites
-one ``worker-<pid>.json`` beat per **seed** -- not per task -- so a
-long healthy batch never reads as silence (see
+Health telemetry (jobs=N): when ``heartbeat_dir`` is set, every worker
+rewrites one ``worker-<pid>.json`` beat per seed (see
 :mod:`repro.metrics.heartbeat`); the parent polls the pool with a
 timeout instead of blocking on each future, scanning the heartbeat
 directory between polls, so a wedged seed surfaces as a STALLED
-worker on the progress line instead of a silent hang.
+worker on the progress line until its timeout fires.
 
 Self-healing: ``retry`` grants every failing seed a bounded number of
 re-runs (with deterministic jittered backoff when ``backoff_s`` is
-set), and ``retry_stalled`` upgrades the STALLED flag into recovery --
-the parent SIGKILLs the silent worker, lets the pool collapse and
-rebuild, records the victim seed as ``stalled``, and requeues it;
-innocent seeds that were in flight in the same pool (including the
-victim batch's other seeds) are requeued without charging their retry
-budget. ``fault_spec`` arms a per-seed
+set); a hung seed is one such failure, so ``timeout_s`` plus ``retry``
+is the hang recovery. ``fault_spec`` arms a per-seed
 :class:`~repro.faults.FaultPlan` (stream = seed, attempt = retry
 number) inside :func:`_guarded_run_seed`, which is how the chaos
-harness injects worker crashes and cache I/O errors deterministically;
-the batch-lifecycle site ``campaign.batch.crash`` additionally fires
-once per batch (stream = the batch's first seed) and takes the whole
-batch down, exercising the parent's batch-failure requeue path.
+harness injects worker crashes, hangs and cache I/O errors
+deterministically.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 import random
 import shutil
 import signal
 import sys
 import tempfile
+import threading
 import time
 import traceback
 from collections import Counter, deque
@@ -74,9 +65,8 @@ from repro.core.spade.cindex import CodeIndex
 from repro.metrics.heartbeat import (DEFAULT_STALL_AFTER_S, Heartbeat,
                                      HeartbeatMonitor, WorkerHealth)
 
-#: in-flight task factor: the parent keeps at most ``jobs * 2`` batch
-#: futures queued, enough to hide result-processing latency without
-#: hoarding seeds in oversized batches
+#: in-flight task factor: the parent keeps at most ``jobs * 2`` seed
+#: futures queued, enough to hide result-processing latency
 INFLIGHT_FACTOR = 2
 
 #: how often the parent wakes to scan heartbeats while futures run
@@ -84,15 +74,6 @@ HEARTBEAT_POLL_S = 2.0
 
 #: retry backoff sleeps are capped here no matter the configuration
 MAX_BACKOFF_S = 5.0
-
-#: default adaptive-batching target: at least this much work per task
-DEFAULT_BATCH_TARGET_S = 0.05
-
-#: adaptive batches never exceed this many seeds
-DEFAULT_MAX_BATCH = 64
-
-#: EWMA smoothing for the observed per-seed duration
-_EWMA_ALPHA = 0.3
 
 
 @dataclass
@@ -120,8 +101,6 @@ class CampaignConfig:
     stall_after_s: float = DEFAULT_STALL_AFTER_S
     #: re-run a failing seed (error/timeout/crash/fault) up to N times
     retry: int = 0
-    #: SIGKILL + requeue a STALLED worker's seed up to N times
-    retry_stalled: int = 0
     #: base for the deterministic jittered sleep before a retry
     backoff_s: float = 0.0
     #: JSON form of a :class:`repro.faults.FaultSpec`; each seed run
@@ -130,13 +109,6 @@ class CampaignConfig:
     #: IOMMU backend model for the dynamic replay; ``None`` (or
     #: ``"intel-vtd"``) is the pre-backend default path
     backend: str | None = None
-    #: root for the shared base-corpus snapshot workers map read-only;
-    #: ``None`` derives one from ``cache_dir`` (or a temp dir)
-    snapshot_dir: str | None = None
-    #: adaptive batching: target at least this much work per task
-    batch_target_s: float = DEFAULT_BATCH_TARGET_S
-    #: adaptive batching: hard per-batch seed cap
-    max_batch: int = DEFAULT_MAX_BATCH
     #: attach a deterministic per-seed coverage signature to every
     #: result and accumulate the campaign CoverageMap (see
     #: :mod:`repro.coverage`)
@@ -153,6 +125,29 @@ class _SeedTimeout(Exception):
 
 def _alarm_handler(_signum, _frame):
     raise _SeedTimeout()
+
+
+@contextlib.contextmanager
+def _seed_alarm(timeout_s: float):
+    """Raise :class:`_SeedTimeout` in the body after *timeout_s*.
+
+    Armed only on a main thread (the only place ``SIGALRM`` can be
+    handled): a worker process's task and an inline jobs=1 run alike.
+    """
+    if not (timeout_s and hasattr(signal, "SIGALRM")
+            and threading.current_thread() is threading.main_thread()):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _alarm_handler)
+    signal.alarm(max(1, int(timeout_s)))
+    try:
+        yield
+    finally:
+        try:
+            signal.alarm(0)
+        finally:
+            # reached even when the alarm fires just before alarm(0)
+            signal.signal(signal.SIGALRM, previous or signal.SIG_DFL)
 
 
 def run_seed(seed: int, *, base_seed: int = 2021,
@@ -180,21 +175,19 @@ def run_seed(seed: int, *, base_seed: int = 2021,
 
 
 def _guarded_run_seed(seed: int, config: "CampaignConfig", *,
-                      use_alarm: bool, attempt: int = 0,
+                      attempt: int = 0,
                       mutator: CorpusMutator | None = None) -> dict:
-    """run_seed with crash capture, optional fault plan, and (in
-    workers) a hard timeout."""
+    """run_seed with crash capture, optional fault plan, and a hard
+    timeout."""
     start = time.monotonic()
     plan = None
     if config.fault_spec:
         plan = faults.FaultSpec.from_json(config.fault_spec).compile(
             stream=seed, attempt=attempt)
-    previous = None
-    if use_alarm and hasattr(signal, "SIGALRM") and config.timeout_s:
-        previous = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, int(config.timeout_s)))
     try:
-        with faults.session(plan):
+        # the alarm is the inner context, so it is disarmed before the
+        # fault session restores the previous plan
+        with faults.session(plan), _seed_alarm(config.timeout_s):
             if "campaign.worker.crash" in faults.active_sites \
                     and faults.fires("campaign.worker.crash"):
                 raise faults.InjectedWorkerCrash("campaign.worker.crash")
@@ -221,23 +214,33 @@ def _guarded_run_seed(seed: int, config: "CampaignConfig", *,
     except Exception:
         record = failure_record(seed, "error", traceback.format_exc(),
                                 duration_s=time.monotonic() - start)
-    finally:
-        if previous is not None:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
     if attempt:
         record["attempt"] = attempt
     return record
 
 
+def _configure_cache(config: "CampaignConfig") -> bool:
+    """Point the process-wide cache at ``config.cache_dir``.
+
+    ``REPRO_CACHE=off`` turns the cache off here too, as it does for
+    every other subcommand, and leaves the directory untouched.
+    Returns whether the disk tier is on.
+    """
+    if not config.cache_dir:
+        return False
+    enabled = perfcache.enabled_from_env()
+    perfcache.configure(config.cache_dir if enabled else None,
+                        enabled=enabled)
+    return enabled
+
+
 #: set once per worker process by :func:`_init_worker`; each submitted
-#: task then pickles only its seed batch instead of re-shipping the
-#: whole config (or the corpus) with every future
+#: task then pickles only its seed instead of re-shipping the whole
+#: config (or the corpus) with every future
 _WORKER_CONFIG: CampaignConfig | None = None
 _WORKER_HEARTBEAT: Heartbeat | None = None
 _WORKER_MUTATOR: CorpusMutator | None = None
 _WORKER_SEEDS_DONE = 0
-_WORKER_BATCHES_DONE = 0
 
 
 def _init_worker(config: "CampaignConfig",
@@ -247,19 +250,17 @@ def _init_worker(config: "CampaignConfig",
     Configures the shared disk cache, builds the process's one
     :class:`CorpusMutator`, and materializes its base corpus -- from
     the parent's read-only snapshot when one exists, else from the
-    cache/regenerate path. Every batch the worker later pulls reuses
+    cache/regenerate path. Every seed the worker later runs reuses
     all of it; no per-task setup remains.
     """
     global _WORKER_CONFIG, _WORKER_HEARTBEAT, _WORKER_MUTATOR
-    global _WORKER_SEEDS_DONE, _WORKER_BATCHES_DONE
+    global _WORKER_SEEDS_DONE
     # a crashtest kill must land in the *coordinating* process, never
     # nondeterministically in whichever worker wrote first
     durability.disarm_crash_points()
     _WORKER_CONFIG = config
     _WORKER_SEEDS_DONE = 0
-    _WORKER_BATCHES_DONE = 0
-    if config.cache_dir:
-        perfcache.configure(config.cache_dir)
+    _configure_cache(config)
     if config.heartbeat_dir:
         _WORKER_HEARTBEAT = Heartbeat(config.heartbeat_dir,
                                       str(os.getpid()))
@@ -279,57 +280,25 @@ def _init_worker(config: "CampaignConfig",
         _WORKER_HEARTBEAT.beat(stage="idle", seeds_done=0)
 
 
-def _worker_batch(seeds: list[int], attempts: list[int]) -> list[dict]:
-    """Run one seed batch in a warm worker; returns one record per
-    seed. Heartbeats update per seed *within* the batch, so stall
-    detection keeps seed granularity no matter the batch size."""
-    global _WORKER_SEEDS_DONE, _WORKER_BATCHES_DONE
+def _worker_seed(seed: int, attempt: int) -> dict:
+    """Run one seed in a warm worker, beating before and after it."""
+    global _WORKER_SEEDS_DONE
     config = _WORKER_CONFIG
     assert config is not None, "worker initializer did not run"
     beat = _WORKER_HEARTBEAT
-    if config.fault_spec:
-        # batch-lifecycle fault site: one poke per batch, stream keyed
-        # by the batch's first seed. A firing takes the whole batch
-        # down (the parent requeues every seed in it).
-        batch_plan = faults.FaultSpec.from_json(
-            config.fault_spec).compile(stream=seeds[0],
-                                       attempt=attempts[0])
-        with faults.session(batch_plan):
-            if "campaign.batch.crash" in faults.active_sites \
-                    and faults.fires("campaign.batch.crash"):
-                raise faults.InjectedWorkerCrash("campaign.batch.crash")
-    records = []
-    for position, (seed, attempt) in enumerate(zip(seeds, attempts)):
-        if beat is not None:
-            beat.beat(stage="running", seed=seed,
-                      seeds_done=_WORKER_SEEDS_DONE,
-                      batch_index=_WORKER_BATCHES_DONE,
-                      batch_position=position, batch_size=len(seeds))
-        records.append(_guarded_run_seed(seed, config, use_alarm=True,
-                                         attempt=attempt,
-                                         mutator=_WORKER_MUTATOR))
-        _WORKER_SEEDS_DONE += 1
-    _WORKER_BATCHES_DONE += 1
     if beat is not None:
-        beat.beat(stage="idle", seed=seeds[-1],
+        beat.beat(stage="running", seed=seed,
                   seeds_done=_WORKER_SEEDS_DONE)
+    record = _guarded_run_seed(seed, config, attempt=attempt,
+                               mutator=_WORKER_MUTATOR)
+    _WORKER_SEEDS_DONE += 1
+    if beat is not None:
+        beat.beat(stage="idle", seed=seed, seeds_done=_WORKER_SEEDS_DONE)
     if config.cache_dir:
-        # lock-free (each process only ever overwrites its own file),
-        # and amortized: once per batch, not per seed
+        # lock-free: each process only ever overwrites its own file
+        # (and a no-op when REPRO_CACHE=off left no disk tier)
         perfcache.default_cache().persist_stats()
-    return records
-
-
-def _batch_size(avg_seed_s: float | None, nr_pending: int, jobs: int, *,
-                target_s: float, max_batch: int) -> int:
-    """Adaptive batch sizing: ≥ *target_s* of work per task, but never
-    so large that workers idle while one hoards the tail of the queue."""
-    if avg_seed_s and avg_seed_s > 0:
-        by_time = math.ceil(target_s / avg_seed_s)
-    else:
-        by_time = 1   # no measurement yet: smallest batch, fastest probe
-    fair_share = math.ceil(nr_pending / max(1, jobs * INFLIGHT_FACTOR))
-    return max(1, min(by_time, fair_share, max_batch))
+    return record
 
 
 def _persist_base_parse_trees(mutator: CorpusMutator) -> None:
@@ -353,7 +322,7 @@ def run_campaign(config: CampaignConfig, *,
 
     *heartbeat*, if given, is called with the latest
     :class:`~repro.metrics.heartbeat.WorkerHealth` list every poll
-    interval (requires ``config.heartbeat_dir``).
+    interval of a jobs=N run (requires ``config.heartbeat_dir``).
     """
     if config.output:
         # a previous run killed mid-write leaves .durability-*.tmp
@@ -394,30 +363,22 @@ def run_campaign(config: CampaignConfig, *,
             cover.save(coverage_map_path(config.output))
         return summarize(records)
 
-    #: retry bookkeeping: budget spent per seed, and the attempt
-    #: number the seed's next run carries (drives fault-plan derivation)
-    error_retries: Counter = Counter()
-    stall_retries: Counter = Counter()
+    #: seeds still to run; a failed seed with retry budget left goes
+    #: back on the end. ``tries`` counts the re-runs each seed has had,
+    #: which is also the attempt number its next run carries (and so
+    #: drives fault-plan derivation)
+    work = deque(pending)
     tries: Counter = Counter()
-    requeued: list[int] = []
     backoff_rng = random.Random((config.base_seed << 16)
                                 ^ config.seed_base)
 
     def record_result(record: dict) -> None:
         seed = record["seed"]
         status = record["status"]
-        retryable = status == "stalled" \
-            and stall_retries[seed] < config.retry_stalled
-        retryable = retryable or (status not in ("ok", "stalled")
-                                  and error_retries[seed] < config.retry)
-        if retryable:
-            if status == "stalled":
-                stall_retries[seed] += 1
-            else:
-                error_retries[seed] += 1
+        if status != "ok" and tries[seed] < config.retry:
             tries[seed] += 1
             record["will_retry"] = True
-            requeued.append(seed)
+            work.append(seed)
             if config.output:
                 # the failed attempt stays in the JSONL audit trail;
                 # the eventual completed record supersedes it
@@ -449,56 +410,38 @@ def run_campaign(config: CampaignConfig, *,
         if progress is not None:
             progress(record)
 
+    disk_cache = _configure_cache(config)
+    mutator = CorpusMutator(config.base_seed, scale=config.scale)
+    if pending:
+        _persist_base_parse_trees(mutator)
+
+    if config.jobs <= 1:
+        # one warm mutator for the whole inline run: the base corpus
+        # is materialized once, every seed derives from the same view
+        while work:
+            seed = work.popleft()
+            record_result(_guarded_run_seed(seed, config,
+                                            attempt=tries[seed],
+                                            mutator=mutator))
+        if disk_cache:
+            perfcache.default_cache().persist_stats()
+        return finish()
+
+    # -- parallel mode: snapshot once, then warm one-seed tasks -------------
+
     monitor = None
     if config.heartbeat_dir:
         monitor = HeartbeatMonitor(config.heartbeat_dir,
                                    stall_after_s=config.stall_after_s)
         monitor.clear()
 
-    if config.cache_dir:
-        perfcache.configure(config.cache_dir)
-    mutator = CorpusMutator(config.base_seed, scale=config.scale)
-    if pending:
-        _persist_base_parse_trees(mutator)
-
-    if config.jobs <= 1:
-        beat = Heartbeat(config.heartbeat_dir, "main") \
-            if config.heartbeat_dir else None
-        # one warm mutator for the whole inline run: the base corpus
-        # is materialized once, every seed derives from the same view
-        queue = deque(pending)
-        nr_done = 0
-        while queue:
-            seed = queue.popleft()
-            if beat is not None:
-                beat.beat(stage="running", seed=seed,
-                          seeds_done=nr_done)
-            record_result(_guarded_run_seed(seed, config,
-                                            use_alarm=False,
-                                            attempt=tries[seed],
-                                            mutator=mutator))
-            if requeued:
-                queue.extend(requeued)
-                requeued.clear()
-            nr_done += 1
-            if beat is not None:
-                beat.beat(stage="idle", seed=seed, seeds_done=nr_done)
-            if heartbeat is not None and monitor is not None:
-                heartbeat(monitor.scan())
-        if config.cache_dir:
-            perfcache.default_cache().persist_stats()
-        return finish()
-
-    # -- parallel mode: snapshot once, then warm batched workers -------------
-
     snapshot_path = None
     scratch_snapshot_root = None
     if pending:
-        snapshot_root = config.snapshot_dir
-        if not snapshot_root and config.cache_dir:
+        if disk_cache:
             snapshot_root = os.path.join(config.cache_dir,
                                          perfcache.SNAPSHOTS_DIR)
-        if not snapshot_root:
+        else:
             scratch_snapshot_root = tempfile.mkdtemp(
                 prefix="repro-campaign-snap-")
             snapshot_root = scratch_snapshot_root
@@ -510,137 +453,48 @@ def run_campaign(config: CampaignConfig, *,
             # workers fall back to the cache/regenerate path
             snapshot_path = None
 
-    killed_pids: set[int] = set()
-
-    def poll_and_recover(inflight_seeds: set[int],
-                         stall_victims: dict[int, int]) -> None:
-        """Heartbeat scan; with ``retry_stalled`` armed, SIGKILL any
-        worker whose running seed has gone silent past the threshold."""
-        if monitor is None:
-            return
-        healths = monitor.scan()
-        if heartbeat is not None:
-            heartbeat(healths)
-        if config.retry_stalled <= 0:
-            return
-        for health in healths:
-            if not health.stalled or not health.pid \
-                    or health.pid == os.getpid() \
-                    or health.pid in killed_pids \
-                    or health.seed not in inflight_seeds:
-                continue
-            killed_pids.add(health.pid)
-            stall_victims[health.pid] = health.seed
-            try:
-                os.kill(health.pid, signal.SIGKILL)
-            except OSError:
-                continue
-            # retire the dead worker's beat so it is not re-flagged
-            try:
-                os.unlink(os.path.join(
-                    config.heartbeat_dir,
-                    f"worker-{health.worker_id}.json"))
-            except OSError:
-                pass
-
-    avg_seed_s: float | None = None
-    work = deque(pending)
     try:
         while work:
             executor = ProcessPoolExecutor(
                 max_workers=config.jobs, initializer=_init_worker,
                 initargs=(config, snapshot_path))
             broken = False
-            stall_victims: dict[int, int] = {}   # killed pid -> seed
-            inflight: dict = {}                  # future -> [seeds]
+            inflight: dict = {}   # future -> seed
             try:
-                while work or inflight:
+                while inflight or (work and not broken):
                     while work and not broken \
                             and len(inflight) < config.jobs \
                             * INFLIGHT_FACTOR:
-                        size = _batch_size(
-                            avg_seed_s, len(work), config.jobs,
-                            target_s=config.batch_target_s,
-                            max_batch=config.max_batch)
-                        batch = [work.popleft()
-                                 for _ in range(min(size, len(work)))]
-                        future = executor.submit(
-                            _worker_batch, batch,
-                            [tries[seed] for seed in batch])
-                        inflight[future] = batch
-                        metrics.count("campaign", "batches")
-                    if not inflight:
-                        break
+                        seed = work.popleft()
+                        future = executor.submit(_worker_seed, seed,
+                                                 tries[seed])
+                        inflight[future] = seed
                     finished, _pending = wait(
                         inflight, timeout=HEARTBEAT_POLL_S,
                         return_when=FIRST_COMPLETED)
-                    stalled_seeds = set(stall_victims.values())
                     for future in finished:
-                        batch = inflight.pop(future)
+                        seed = inflight.pop(future)
                         try:
-                            batch_records = future.result()
+                            record = future.result()
                         except BrokenProcessPool:
-                            # the pool died: either we shot a stalled
-                            # worker, or a worker was e.g. OOM-killed
+                            # a worker died (e.g. OOM-killed) and took
+                            # the pool with it: rebuild after the drain
                             broken = True
-                            for seed in batch:
-                                if seed in stalled_seeds:
-                                    record_result(failure_record(
-                                        seed, "stalled",
-                                        f"worker killed after "
-                                        f"exceeding the "
-                                        f"{config.stall_after_s:.0f}s "
-                                        f"heartbeat stall threshold"))
-                                elif stall_victims:
-                                    # innocent bystander of the stall
-                                    # kill: requeue without charging
-                                    # its retry budget
-                                    requeued.append(seed)
-                                else:
-                                    record_result(failure_record(
-                                        seed, "crash",
-                                        "worker process pool "
-                                        "collapsed"))
-                            continue
-                        except faults.InjectedFault as exc:
-                            # batch-lifecycle fault: every seed in the
-                            # batch failed together; retry re-runs them
-                            for seed in batch:
-                                record_result(failure_record(
-                                    seed, "fault",
-                                    f"injected fault at {exc.site}"))
-                            continue
+                            record = failure_record(
+                                seed, "crash",
+                                "worker process pool collapsed")
                         except Exception:
-                            for seed in batch:
-                                record_result(failure_record(
-                                    seed, "error",
-                                    traceback.format_exc()))
-                            continue
-                        for record in batch_records:
-                            duration = record.get("duration_s") or 0.0
-                            if duration > 0:
-                                avg_seed_s = duration \
-                                    if avg_seed_s is None else \
-                                    (1 - _EWMA_ALPHA) * avg_seed_s \
-                                    + _EWMA_ALPHA * duration
-                            record_result(record)
-                    if requeued:
-                        work.extend(requeued)
-                        requeued.clear()
-                    inflight_seeds = {seed for batch in inflight.values()
-                                      for seed in batch}
-                    poll_and_recover(inflight_seeds, stall_victims)
-                    if broken and not inflight:
-                        break
+                            record = failure_record(
+                                seed, "error", traceback.format_exc())
+                        record_result(record)
+                    if heartbeat is not None and monitor is not None:
+                        heartbeat(monitor.scan())
             finally:
                 # Join the pool: left to the interpreter's exit hook,
                 # its manager thread closes the wakeup pipe the hook
-                # writes to (an EBADF traceback at exit). Every batch is
+                # writes to (an EBADF traceback at exit). Every seed is
                 # done by now, or the pool broke, so the join is short.
                 executor.shutdown(wait=True, cancel_futures=True)
-            if requeued:
-                work.extend(requeued)
-                requeued.clear()
     finally:
         if scratch_snapshot_root:
             shutil.rmtree(scratch_snapshot_root, ignore_errors=True)

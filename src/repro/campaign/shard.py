@@ -131,8 +131,14 @@ def try_claim(shard_dir: str, shard: Shard, *,
             age = time.time() - float(current.get("claimed_at", 0.0))
             generation = int(current.get("generation", 0))
         except (OSError, ValueError):
-            # torn claim (writer died mid-replace churn): treat as stale
-            age, generation = float("inf"), 0
+            # an unreadable claim is either torn by a dead writer or
+            # just created by a live winner that has not written its
+            # body yet: age it by the file's mtime, not as stale
+            try:
+                age = time.time() - os.stat(path).st_mtime
+            except OSError:
+                age = float("inf")
+            generation = 0
         if age <= stale_after_s:
             return None
         body = _claim_body(shard, generation=generation + 1)

@@ -527,7 +527,7 @@ def cmd_campaign(args) -> int:
         cache_dir=args.cache_dir or None,
         heartbeat_dir=args.heartbeat_dir or None,
         stall_after_s=args.stall_after,
-        retry=args.retry, retry_stalled=args.retry_stalled,
+        retry=args.retry,
         backoff_s=args.backoff,
         fault_spec=fault_spec.to_json() if fault_spec else None)
 
@@ -1100,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="mutations applied per seed")
     campaign.add_argument("--timeout", type=_positive_float,
                           default=120.0, metavar="SECONDS",
-                          help="per-seed timeout (worker mode)")
+                          help="per-seed timeout")
     campaign.add_argument("--scale", type=_positive_float, default=1.0,
                           help="corpus size factor (e.g. 0.1 for a "
                                "fast smoke campaign)")
@@ -1134,11 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--retry", type=int, default=0, metavar="N",
                           help="re-run a failing seed (error, timeout, "
                                "crash, injected fault) up to N times")
-    campaign.add_argument("--retry-stalled", type=int, default=0,
-                          metavar="N",
-                          help="SIGKILL a stalled worker and requeue "
-                               "its seed up to N times (upgrades the "
-                               "STALLED flag into recovery)")
     campaign.add_argument("--backoff", type=float, default=0.0,
                           metavar="SECONDS",
                           help="base for the deterministic jittered "

@@ -191,8 +191,8 @@ def disarm_crash_points() -> None:
 
     Campaign worker processes call this from their initializer so a
     crashtest kill lands deterministically in the coordinating
-    process; worker-side crash chaos already has its own sites
-    (``campaign.worker.crash`` / ``campaign.batch.crash``).
+    process; worker-side crash chaos already has its own site
+    (``campaign.worker.crash``).
     """
     global _crash_armed, _crash_env_loaded
     os.environ.pop("REPRO_CRASH", None)

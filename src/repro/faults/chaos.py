@@ -166,7 +166,7 @@ def _campaign_phase(tooling_spec: FaultSpec, scratch: str, *,
             trace_events=16,
             cache_dir=os.path.join(scratch, "cache"),
             fault_spec=fault_spec, backend=backend,
-            retry=retry, retry_stalled=max(1, retry))
+            retry=retry)
 
     spec_doc = tooling_spec.to_json() if tooling_spec.rules else None
     try:

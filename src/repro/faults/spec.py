@@ -46,7 +46,6 @@ TOOLING_SITES = (
     "perfcache.corrupt",       # bit-flipped entry (fails validation)
     "campaign.worker.crash",   # injected exception inside run_seed
     "campaign.worker.hang",    # injected sleep (arg = seconds)
-    "campaign.batch.crash",    # kills a whole warm-worker seed batch
     "durability.post_write",   # tmp file fully written, not yet durable
     "durability.pre_replace",  # right before the atomic os.replace
     "durability.post_replace",  # replaced, parent dir not yet synced

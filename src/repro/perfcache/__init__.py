@@ -25,7 +25,8 @@ uncached runs to produce byte-identical findings.
 
 Environment knobs:
 
-* ``REPRO_CACHE=off`` disables caching process-wide;
+* ``REPRO_CACHE=off`` disables caching process-wide, a campaign's
+  ``--cache-dir`` included;
 * ``REPRO_CACHE_DIR=DIR`` turns on the shared on-disk tier.
 """
 
@@ -43,7 +44,8 @@ __all__ = [
     "CACHE_SCHEMA", "DEFAULT_MEMORY_ENTRIES", "NAMESPACES",
     "SNAPSHOTS_DIR", "STATS_DIR", "CacheStats", "NamespaceUsage",
     "PerfCache", "ReadThroughView", "cache_from_env", "configure",
-    "content_key", "default_cache", "file_digest", "reset_default",
+    "content_key", "default_cache", "enabled_from_env", "file_digest",
+    "reset_default",
 ]
 
 _OFF_VALUES = ("off", "0", "false", "no")
@@ -52,12 +54,16 @@ _OFF_VALUES = ("off", "0", "false", "no")
 _default: PerfCache | None = None
 
 
+def enabled_from_env() -> bool:
+    """False when ``REPRO_CACHE`` turns caching off."""
+    return os.environ.get("REPRO_CACHE", "").strip().lower() \
+        not in _OFF_VALUES
+
+
 def cache_from_env() -> PerfCache:
     """A :class:`PerfCache` honouring ``REPRO_CACHE``/``REPRO_CACHE_DIR``."""
-    enabled = os.environ.get("REPRO_CACHE", "").strip().lower() \
-        not in _OFF_VALUES
     directory = os.environ.get("REPRO_CACHE_DIR") or None
-    return PerfCache(directory, enabled=enabled)
+    return PerfCache(directory, enabled=enabled_from_env())
 
 
 def default_cache() -> PerfCache:

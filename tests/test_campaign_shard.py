@@ -60,6 +60,19 @@ def test_stale_claim_is_stolen_with_bumped_generation(tmp_path):
     assert stolen["generation"] == claim["generation"] + 1
 
 
+def test_claim_being_written_is_not_stolen(tmp_path):
+    # the O_EXCL winner has created its claim but not written the body
+    # yet; a racing runner must not read that as a torn, stale claim
+    shard = Shard(0, 1, 3)
+    (tmp_path / "claim-0.json").write_text("")
+    assert try_claim(str(tmp_path), shard, stale_after_s=60.0) is None
+    # a torn claim whose file has aged past the threshold is stolen
+    old = time.time() - 1000.0
+    os.utime(tmp_path / "claim-0.json", (old, old))
+    stolen = try_claim(str(tmp_path), shard, stale_after_s=60.0)
+    assert stolen is not None and stolen["generation"] == 1
+
+
 def test_done_shard_is_never_stolen(tmp_path):
     shard = Shard(0, 1, 3)
     try_claim(str(tmp_path), shard)

@@ -1,24 +1,13 @@
-"""Shared base-corpus snapshots and warm-worker batched dispatch."""
+"""Shared base-corpus snapshots and warm-worker parallel dispatch."""
 
 import os
 
-import pytest
-
-from repro import faults
 from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign import snapshot as snapshot_store
 from repro.campaign.mutate import CorpusMutator
 from repro.campaign.results import findings_digest, load_records
-from repro.campaign.runner import _batch_size
-from repro.faults import FaultSpec, SiteRule
 
 SCALE = 0.08
-
-
-@pytest.fixture(autouse=True)
-def _clean_engine():
-    yield
-    faults.uninstall()
 
 
 def _config(tmp_path, **overrides) -> CampaignConfig:
@@ -97,65 +86,14 @@ def test_derive_never_mutates_the_shared_base(tmp_path):
     assert after is base_tree   # still the same zero-copy object
 
 
-# -- adaptive batch sizing ---------------------------------------------------
-
-
-def test_batch_size_targets_work_per_task():
-    # no measurement yet: probe with single-seed batches
-    assert _batch_size(None, 100, 4, target_s=0.05, max_batch=64) == 1
-    # 1ms seeds: 50 seeds reach the 50ms target
-    assert _batch_size(0.001, 1000, 4, target_s=0.05,
-                       max_batch=64) == 50
-    # slow seeds: no batching needed
-    assert _batch_size(1.0, 1000, 4, target_s=0.05, max_batch=64) == 1
-    # the cap wins over the time target
-    assert _batch_size(0.0001, 10000, 4, target_s=0.05,
-                       max_batch=64) == 64
-    # fairness: never hand one worker more than its share of the tail
-    assert _batch_size(0.001, 8, 4, target_s=0.05, max_batch=64) == 1
-
-
-# -- batched parallel dispatch keeps findings byte-identical -----------------
+# -- parallel dispatch keeps findings byte-identical ------------------------
 
 
 def test_batched_parallel_digest_matches_inline(tmp_path):
     inline = run_campaign(_config(tmp_path / "a"))
-    # force multi-seed batches regardless of measured seed cost
-    parallel = run_campaign(_config(tmp_path / "b", jobs=2,
-                                    batch_target_s=30.0))
+    parallel = run_campaign(_config(tmp_path / "b", jobs=2))
     assert inline.nr_ok == parallel.nr_ok == 6
     assert findings_digest(load_records(
         str(tmp_path / "a" / "results.jsonl"))) == \
         findings_digest(load_records(
             str(tmp_path / "b" / "results.jsonl")))
-
-
-def test_batch_crash_fault_fails_whole_batch_and_retry_heals(tmp_path):
-    spec = FaultSpec([SiteRule("campaign.batch.crash", at_steps=(0,),
-                               on_attempt=0)])
-    clean = run_campaign(_config(tmp_path / "clean"))
-    config = _config(tmp_path / "faulty", jobs=2, retry=1,
-                     batch_target_s=30.0,
-                     fault_spec=spec.to_json())
-    summary = run_campaign(config)
-    assert summary.all_ok
-    records = load_records(config.output)
-    # the audit trail shows batch-fault records that were retried
-    raw = [r for r in _all_lines(config.output)
-           if r.get("status") == "fault"]
-    assert raw and all(r.get("will_retry") for r in raw)
-    assert all("campaign.batch.crash" in r["error"] for r in raw)
-    assert findings_digest(load_records(
-        str(tmp_path / "clean" / "results.jsonl"))) == \
-        findings_digest(records)
-
-
-def _all_lines(path):
-    import json
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

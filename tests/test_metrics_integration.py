@@ -118,7 +118,7 @@ def test_last_boot_owns_the_kernel_collector_slot():
 def test_campaign_reports_heartbeat_progress(tmp_path):
     from repro.campaign import CampaignConfig, run_campaign
 
-    config = CampaignConfig(nr_seeds=2, jobs=1, scale=0.05,
+    config = CampaignConfig(nr_seeds=2, jobs=2, scale=0.05,
                             mutations_per_seed=2, trace_events=0,
                             output=str(tmp_path / "results.jsonl"),
                             heartbeat_dir=str(tmp_path / "hb"))
@@ -126,15 +126,17 @@ def test_campaign_reports_heartbeat_progress(tmp_path):
     summary = run_campaign(config, heartbeat=snapshots.append)
     assert summary.nr_seeds == 2
     assert snapshots, "heartbeat callback never fired"
-    final = {h.worker_id: h for h in snapshots[-1]}
-    assert final["main"].seeds_done == 2
+    # every worker beats before returning a seed, so the scan after
+    # the last result counts both seeds
+    assert sum(h.seeds_done for h in snapshots[-1]) == 2
     assert not any(h.stalled for h in snapshots[-1])
 
 
 def test_long_batch_heartbeats_per_seed_in_one_worker(tmp_path):
-    """A 1-worker run whose whole seed range lands in one batch still
-    beats per seed, so a long healthy batch never reads as a stall."""
-    from repro.campaign.runner import _init_worker, _worker_batch
+    """A worker running a seed range one task at a time beats
+    ``running`` as each seed starts and ``idle`` as it ends, so a long
+    healthy run never reads as a stall."""
+    from repro.campaign.runner import _init_worker, _worker_seed
     from repro.metrics.heartbeat import HeartbeatMonitor
 
     from repro.campaign import CampaignConfig
@@ -154,16 +156,11 @@ def test_long_batch_heartbeats_per_seed_in_one_worker(tmp_path):
     import repro.campaign.runner as runner_module
     _init_worker(config)
     runner_module._WORKER_HEARTBEAT = SpyHeartbeat()
-    records = _worker_batch([1, 2, 3, 4], [0, 0, 0, 0])
+    records = [_worker_seed(seed, 0) for seed in (1, 2, 3, 4)]
     assert [r["seed"] for r in records] == [1, 2, 3, 4]
-    running = [f for f in seen if f.get("stage") == "running"]
-    # one fresh beat per seed *within* the batch, carrying its
-    # position so --retry-stalled sees steady progress
-    assert [f["seed"] for f in running] == [1, 2, 3, 4]
-    assert [f["batch_position"] for f in running] == [0, 1, 2, 3]
-    assert all(f["batch_size"] == 4 for f in running)
-    assert seen[-1]["stage"] == "idle"
-    assert seen[-1]["seeds_done"] == 4
+    assert [(f["stage"], f["seed"], f["seeds_done"]) for f in seen] == [
+        (stage, seed, seed - (stage == "running"))
+        for seed in (1, 2, 3, 4) for stage in ("running", "idle")]
     # and the real heartbeat file from _init_worker is fresh, so the
     # monitor reports a healthy worker
     monitor = HeartbeatMonitor(hb_dir, stall_after_s=60.0)
@@ -186,7 +183,7 @@ def test_campaign_flags_stalled_worker(tmp_path):
 
 
 def test_cli_campaign_prints_progress_line(tmp_path, capsys):
-    code = main(["campaign", "--seeds", "2", "--jobs", "1",
+    code = main(["campaign", "--seeds", "2", "--jobs", "2",
                  "--scale", "0.05", "--mutations", "2",
                  "--trace-events", "0",
                  "--output", str(tmp_path / "results.jsonl"),

@@ -171,3 +171,25 @@ def test_seed_records_identical_across_cache_states(tmp_path):
     assert parsed
     assert not {(path, perfcache.file_digest(text))
                 for path, text in base.items()} & parsed
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repro_cache_off_turns_off_a_campaign_cache_dir(tmp_path,
+                                                        monkeypatch, jobs):
+    def campaign(name: str) -> CampaignConfig:
+        config = CampaignConfig(
+            nr_seeds=3, jobs=jobs, scale=SCALE, base_seed=BASE_SEED,
+            mutations_per_seed=3, heartbeat_dir=None,
+            output=str(tmp_path / f"{name}.jsonl"),
+            cache_dir=str(tmp_path / f"{name}-cache"))
+        assert run_campaign(config).all_ok
+        perfcache.reset_default()
+        return config
+
+    cached = campaign("cached")
+    assert _entry_files(cached.cache_dir)
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    off = campaign("off")
+    # no entries, stats, marker or snapshot: the directory never appears
+    assert not os.path.exists(off.cache_dir)
+    assert _identity(off.output) == _identity(cached.output)
