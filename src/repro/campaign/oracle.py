@@ -135,8 +135,7 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
     flight recorder (dma/iommu/dkasan categories) whose last *N*
     events are attached to the result when the detectors disagree --
     the context a triager needs to see *why* D-KASAN fired (or stayed
-    silent) at the disputed call site. An already-installed recorder
-    (e.g. a surrounding ``repro-dma trace`` session) is reused as-is.
+    silent) at the disputed call site.
 
     ``coverage`` (the default) additionally derives the replay's
     deterministic coverage signature (:mod:`repro.coverage`). The
@@ -145,6 +144,13 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
     minimal capacity-1 recorder is installed purely to drive the
     stream, and the retained ring (hence ``trace_tail`` and the
     findings bytes) is untouched.
+
+    The replay always runs under this seed's own recorder (or, with
+    neither a tail nor coverage asked for, under none). A recorder
+    already installed by the caller, such as a surrounding
+    ``trace.session()``, is set aside for the replay and reinstalled
+    afterwards: it sees none of the replay's events, and its category
+    filter or capacity cannot change a byte of the result.
 
     ``backend`` selects the IOMMU model for the dynamic replay. The
     default (``None`` or ``"intel-vtd"``) is the exact pre-backend
@@ -176,10 +182,9 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
 
     collector = CoverageCollector() if coverage else None
     recorder = None
-    owns_recorder = False
-    if trace_events > 0 or collector is not None:
-        recorder = trace.active()
-        if recorder is None:
+    outer = trace.uninstall()
+    try:
+        if trace_events > 0 or collector is not None:
             # capacity == N: the drop-oldest ring natively keeps the
             # last N events, bounding per-seed memory in big campaigns
             # (capacity 1 when the recorder exists only to stream
@@ -187,10 +192,8 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
             recorder = trace.install(trace.TraceRecorder(
                 capacity=max(trace_events, 1),
                 categories=COVERAGE_CATEGORIES))
-            owns_recorder = True
-    if collector is not None and recorder is not None:
-        recorder.add_observer(collector.feed)
-    try:
+            if collector is not None:
+                recorder.add_observer(collector.feed)
         dkasan = DKasan(phys_mb << 20)
         if spec is None:
             kernel = Kernel(seed=seed, phys_mb=phys_mb,
@@ -207,10 +210,9 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
             replay = run_manifest_replay(kernel, manifest,
                                          probe_windows=True)
     finally:
-        if collector is not None and recorder is not None:
-            recorder.remove_observer(collector.feed)
-        if owns_recorder:
-            trace.uninstall()
+        trace.uninstall()
+        if outer is not None:
+            trace.install(outer)
     dynamic_hits = dkasan.detected_site_functions()
 
     spade_score = DetectorScore()

@@ -113,7 +113,7 @@ class DKasan(MemEventSink):
               site: AllocSite, pfn: int, device: str) -> None:
         self.events.append(DKasanEvent(kind, size, perms, site, pfn,
                                        device))
-        if trace.enabled("dkasan"):
+        if "dkasan" in trace.active_categories:
             # trigger_seq cross-references the tracepoint (dma map,
             # device access, ...) whose handling raised this finding --
             # the most recent event in the flight recorder.

@@ -27,7 +27,9 @@ The collector is **streaming**: it observes every event the recorder
 emits (via :meth:`TraceRecorder.add_observer`), so the signature never
 depends on the ring capacity or on which old events the drop-oldest
 ring discarded -- ``--trace-events 0`` and ``--trace-events 64`` yield
-the same coverage.
+the same coverage. It runs once per replayed tracepoint, so it formats
+each ``<category>/<name>`` and ``site/<kind>@<site>`` string once per
+distinct key and looks it up after that.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ class CoverageCollector:
     def __init__(self) -> None:
         self.nr_events = 0
         self._counts: dict[str, int] = {}
+        #: feature strings, formatted once per distinct key: category
+        #: -> name -> "<category>/<name>" (a category missing here is
+        #: not a coverage category), and (kind, site) ->
+        #: "site/<kind>@<site>"
+        self._event_features: dict[str, dict[str, str]] = {
+            category: {} for category in COVERAGE_CATEGORIES}
+        self._site_features: dict[tuple[str, str], str] = {}
         #: open fq_defer timestamps awaiting their drain
         self._pending_defers: list[float] = []
 
@@ -83,24 +92,37 @@ class CoverageCollector:
     def feed(self, event) -> None:
         """Observe one trace event (the recorder observer hook)."""
         category = event.category
-        if category not in COVERAGE_CATEGORIES:
+        features = self._event_features.get(category)
+        if features is None:
             return
         self.nr_events += 1
         name = event.name
-        self._add(f"{category}/{name}")
+        feature = features.get(name)
+        if feature is None:
+            feature = features[name] = f"{category}/{name}"
+        counts = self._counts
+        counts[feature] = counts.get(feature, 0) + 1
+        if category == "dma":
+            return
         args = event.args
         if category == "dkasan":
             site = args.get("site")
             if site:
-                self._add(f"site/{name}@{site}")
+                key = (name, site)
+                feature = self._site_features.get(key)
+                if feature is None:
+                    feature = self._site_features[key] = \
+                        f"site/{name}@{site}"
+                counts[feature] = counts.get(feature, 0) + 1
             return
-        if category != "iommu":
-            return
-        if name == "stale_hit":
-            kind = "stale-write" if args.get("write") else "stale-read"
-            self._add(f"iotlb/{kind}")
+        # category == "iommu"
+        if name == "inv_sync":
+            counts["window/sync"] = counts.get("window/sync", 0) + 1
         elif name == "fq_defer":
             self._pending_defers.append(event.ts_us)
+        elif name == "stale_hit":
+            kind = "stale-write" if args.get("write") else "stale-read"
+            self._add(f"iotlb/{kind}")
         elif name == "fq_drain":
             # a drain retires every pending defer (one global flush
             # per batch): each closed window is one pow-2 bucket hit
@@ -111,8 +133,6 @@ class CoverageCollector:
                       f"b{_bucket(args.get('iotlb_dropped', 0))}")
             self._add(f"iotlb/drain-batch:"
                       f"b{_bucket(args.get('nr_pending', 0))}")
-        elif name == "inv_sync":
-            self._add("window/sync")
 
     @property
     def features(self) -> dict[str, int]:

@@ -80,7 +80,7 @@ class DmaApi:
             direction=direction, perm=perm, site=site,
             mapped_at_us=self._clock.now_us, first_pfn=first_pfn,
             nr_pages=nr_pages)
-        if trace.enabled("dma"):
+        if "dma" in trace.active_categories:
             trace.emit("dma", "map", device=device, iova=iova, kva=kva,
                        size=size, perm=perm.value, direction=direction,
                        nr_pages=nr_pages, site=str(site))
@@ -106,7 +106,7 @@ class DmaApi:
                 f"dma_unmap_single mismatch: mapped (size={mapping.size}, "
                 f"{mapping.direction}), unmapped (size={size}, {direction})")
         self.registry.remove(device, iova, now_us=self._clock.now_us)
-        if trace.enabled("dma"):
+        if "dma" in trace.active_categories:
             trace.emit("dma", "unmap", device=device, iova=iova,
                        kva=mapping.kva, size=size, perm=mapping.perm.value,
                        direction=direction, nr_pages=mapping.nr_pages)

@@ -101,7 +101,7 @@ class StrictInvalidation(InvalidationPolicy):
         self.stats.unmaps += 1
         self.stats.sync_invalidations += 1
         self._iotlb.invalidate(domain_id, iova_pfn)
-        if trace.enabled("iommu"):
+        if "iommu" in trace.active_categories:
             trace.emit("iommu", "inv_sync", domain=domain_id,
                        iova_pfn=iova_pfn,
                        cycles=self._cycles, **self._trace_extra)
@@ -156,7 +156,7 @@ class DeferredInvalidation(InvalidationPolicy):
         self.stats.unmaps += 1
         self.stats.deferred_invalidations += 1
         self._pending.append((domain_id, iova_pfn))
-        if trace.enabled("iommu"):
+        if "iommu" in trace.active_categories:
             trace.emit("iommu", "fq_defer", domain=domain_id,
                        iova_pfn=iova_pfn, nr_pending=len(self._pending),
                        **self._trace_extra)
@@ -190,7 +190,7 @@ class DeferredInvalidation(InvalidationPolicy):
             nr_charges = nr_pending if self._granularity == "page" else 1
         cycles = self._cycles * max(1, nr_charges)
         self.stats.flushes += 1
-        if trace.enabled("iommu"):
+        if "iommu" in trace.active_categories:
             trace.emit("iommu", "fq_drain", nr_pending=nr_pending,
                        iotlb_dropped=dropped,
                        cycles=cycles, **self._trace_extra)

@@ -106,21 +106,25 @@ def session(**kwargs):
 
 # -- hot-path hooks (the no-op guard) -------------------------------------
 #
-# Instrumented sites call ``trace.enabled(cat)`` before building event
-# arguments, so a disabled trace costs one global read and one function
-# call per tracepoint -- the <5% bench-overhead budget.
+# Instrumented sites test ``"cat" in trace.active_categories`` (or call
+# ``trace.enabled(cat)`` off the hot path) before building event
+# arguments, so a disabled trace costs one global read per tracepoint.
+# An enabled one costs one args dict and one ring append per event;
+# ``benchmarks/test_bench_trace_overhead.py`` holds a campaign seed's
+# flight recorder plus coverage stream to a budget.
 
 def enabled(category: str) -> bool:
     """True when a recorder is installed and wants *category*."""
     return category in active_categories
 
 
-def emit(category: str, name: str, **args):
-    """Record one instant event (no-op when tracing is off)."""
+def emit(category: str, name: str, *, phase: str = "i", **args):
+    """Record one event (no-op when tracing is off). The kwargs dict
+    becomes the event's ``args`` as-is."""
     recorder = _active
     if recorder is None:
         return None
-    return recorder.emit(category, name, **args)
+    return recorder.emit_args(category, name, phase, args)
 
 
 def span(category: str, name: str, **args):
@@ -132,15 +136,26 @@ def span(category: str, name: str, **args):
 
 
 def count(category: str, name: str, delta: int = 1) -> None:
+    """:meth:`TraceRecorder.count` on the installed recorder, inlined."""
     recorder = _active
-    if recorder is not None:
-        recorder.count(category, name, delta)
+    if recorder is not None and (category in active_categories
+                                 or recorder.categories is None):
+        counters = recorder.counters
+        key = (category, name)
+        counters[key] = counters.get(key, 0) + delta
 
 
 def observe(category: str, name: str, value: float) -> None:
+    """:meth:`TraceRecorder.observe` on the installed recorder, inlined."""
     recorder = _active
-    if recorder is not None:
-        recorder.observe(category, name, value)
+    if recorder is not None and (category in active_categories
+                                 or recorder.categories is None):
+        histograms = recorder.histograms
+        key = (category, name)
+        hist = histograms.get(key)
+        if hist is None:
+            hist = histograms[key] = Histogram()
+        hist.observe(value)
 
 
 def last_seq() -> int | None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import TraceError
 
@@ -35,20 +36,30 @@ CATEGORIES = ("dma", "iommu", "net", "mem", "dkasan", "attack", "sim",
 DEFAULT_CAPACITY = 65536
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded tracepoint.
-
-    ``phase`` follows the Chrome trace-event convention: ``"i"`` for an
-    instant event, ``"B"``/``"E"`` for span begin/end.
-    """
-
+class _EventFields(NamedTuple):
     seq: int
     ts_us: float
     category: str
     name: str
-    phase: str = "i"
-    args: dict = field(default_factory=dict)
+    phase: str
+    args: dict
+
+
+class TraceEvent(_EventFields):
+    """One recorded tracepoint.
+
+    ``phase`` follows the Chrome trace-event convention: ``"i"`` for an
+    instant event, ``"B"``/``"E"`` for span begin/end. A tuple, so the
+    recorder builds it in one C call; ``args`` is the emitter's keyword
+    dict, kept as-is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seq: int, ts_us: float, category: str, name: str,
+                phase: str = "i", args: dict | None = None):
+        return _new_event(cls, (seq, ts_us, category, name, phase,
+                                {} if args is None else args))
 
     def to_json(self) -> dict:
         return {"seq": self.seq, "ts_us": round(self.ts_us, 6),
@@ -60,6 +71,9 @@ class TraceEvent:
         return cls(record["seq"], record["ts_us"], record["cat"],
                    record["name"], record.get("ph", "i"),
                    dict(record.get("args", {})))
+
+
+_new_event = tuple.__new__
 
 
 @dataclass
@@ -80,8 +94,13 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None:
+            self.min = self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
         index = 0
         if value >= 1:
             index = int(value).bit_length()
@@ -156,10 +175,14 @@ class TraceRecorder:
                 f"(valid: {', '.join(CATEGORIES)})")
         self.capacity = capacity
         self._categories = frozenset(categories) if categories else None
+        #: every category :meth:`emit_args` keeps: a miss is filtered
+        #: or unknown, so a kept event costs one set lookup
+        self._kept = frozenset(CATEGORIES) if self._categories is None \
+            else self._categories
         self._clock = clock
-        self._events: deque[TraceEvent] = deque()
+        #: a full ring drops its oldest event on append
+        self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._next_seq = 0
-        self.dropped = 0
         self._span_stack: list[Span] = []
         self.counters: dict[tuple[str, str], int] = {}
         self.histograms: dict[tuple[str, str], Histogram] = {}
@@ -193,27 +216,26 @@ class TraceRecorder:
         """
         self._observers.append(fn)
 
-    def remove_observer(self, fn) -> None:
-        try:
-            self._observers.remove(fn)
-        except ValueError:
-            pass
-
     # -- events -------------------------------------------------------------
 
     def emit(self, category: str, name: str, *, phase: str = "i",
              **args) -> TraceEvent | None:
         """Record one event; returns None when the category is filtered."""
-        if category not in CATEGORIES:
-            raise TraceError(f"unknown trace category {category!r}")
-        if not self.wants(category):
+        return self.emit_args(category, name, phase, args)
+
+    def emit_args(self, category: str, name: str, phase: str,
+                  args: dict) -> TraceEvent | None:
+        """:meth:`emit` with the args dict passed in, and kept, as-is:
+        the hot path behind :func:`repro.trace.emit`."""
+        if category not in self._kept:
+            if category not in CATEGORIES:
+                raise TraceError(f"unknown trace category {category!r}")
             return None
-        event = TraceEvent(self._next_seq, self.now_us, category, name,
-                           phase, args)
+        clock = self._clock
+        event = _new_event(TraceEvent, (
+            self._next_seq, clock.now_us if clock is not None else 0.0,
+            category, name, phase, args))
         self._next_seq += 1
-        if len(self._events) >= self.capacity:
-            self._events.popleft()
-            self.dropped += 1
         self._events.append(event)
         if self._observers:
             for observer in self._observers:
@@ -234,9 +256,15 @@ class TraceRecorder:
         """Events ever emitted, including those the ring dropped."""
         return self._next_seq
 
+    @property
+    def dropped(self) -> int:
+        """Events the full ring dropped, oldest first."""
+        return self._next_seq - len(self._events)
+
     def last_seq(self) -> int | None:
-        """Sequence number of the most recent event, if any."""
-        return self._events[-1].seq if self._events else None
+        """Sequence number of the most recent event, if any (the ring
+        always holds the newest event, so this is the last seq issued)."""
+        return self._next_seq - 1 if self._next_seq else None
 
     def tail(self, n: int) -> list[TraceEvent]:
         """The last *n* retained events, oldest first."""

@@ -6,16 +6,19 @@ cross-layer behaviour lives in ``test_trace_integration.py``.
 
 import io
 import json
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import trace
 from repro.errors import TraceError
 from repro.sim.clock import SimClock
-from repro.trace import (CATEGORIES, Histogram, TraceEvent, TraceRecorder,
-                         chrome_trace, derive_invalidation_windows,
-                         event_counts, load_jsonl, summary_record,
-                         write_jsonl)
+from repro.trace import (CATEGORIES, Histogram, Span, TraceEvent,
+                         TraceRecorder, chrome_trace,
+                         derive_invalidation_windows, event_counts,
+                         load_jsonl, summary_record, write_jsonl)
 
 
 @pytest.fixture(autouse=True)
@@ -339,3 +342,259 @@ def test_event_counts():
     counts = event_counts(events)
     assert counts[("iommu", "fq_defer")] == 2
     assert counts[("dma", "map")] == 1
+
+
+def test_event_defaults_give_each_event_its_own_args():
+    first = TraceEvent(0, 0.0, "dma", "map")
+    second = TraceEvent(1, 0.0, "dma", "map")
+    assert first.phase == "i" and first.args == {}
+    first.args["iova"] = 1
+    assert second.args == {}
+
+
+def test_emit_keeps_the_callers_args_dict():
+    recorder = trace.install(TraceRecorder())
+    args = {"iova": 1}
+    assert recorder.emit_args("dma", "map", "i", args).args is args
+    event = trace.emit("dma", "unmap", phase="B", iova=2)
+    assert (event.phase, event.args) == ("B", {"iova": 2})
+
+
+# -- the recorder == the dataclass-and-popleft recorder it replaced ---------------
+
+
+class ReferenceEvent:
+    """Reference model of an event: the frozen-dataclass layout's
+    ``to_json``."""
+
+    __slots__ = ("seq", "ts_us", "category", "name", "phase", "args")
+
+    def __init__(self, seq, ts_us, category, name, phase="i", args=None):
+        self.seq, self.ts_us, self.category = seq, ts_us, category
+        self.name, self.phase = name, phase
+        self.args = {} if args is None else args
+
+    def to_json(self):
+        return {"seq": self.seq, "ts_us": round(self.ts_us, 6),
+                "cat": self.category, "name": self.name,
+                "ph": self.phase, "args": self.args}
+
+
+class ReferenceRecorder:
+    """Reference model: the recorder before events became tuples, the
+    ring a ``maxlen`` deque and ``dropped`` a derived count."""
+
+    def __init__(self, *, capacity=65536, categories=None, clock=None):
+        if capacity <= 0:
+            raise TraceError(f"bad trace capacity {capacity}")
+        unknown = set(categories or ()) - set(CATEGORIES)
+        if unknown:
+            raise TraceError(
+                f"unknown trace categories: {', '.join(sorted(unknown))} "
+                f"(valid: {', '.join(CATEGORIES)})")
+        self.capacity = capacity
+        self._categories = frozenset(categories) if categories else None
+        self._clock = clock
+        self._events = deque()
+        self._next_seq = 0
+        self.dropped = 0
+        self._span_stack = []
+        self.counters = {}
+        self.histograms = {}
+        self._observers = []
+
+    def wants(self, category):
+        return self._categories is None or category in self._categories
+
+    @property
+    def now_us(self):
+        return self._clock.now_us if self._clock is not None else 0.0
+
+    def add_observer(self, fn):
+        self._observers.append(fn)
+
+    def emit(self, category, name, *, phase="i", **args):
+        if category not in CATEGORIES:
+            raise TraceError(f"unknown trace category {category!r}")
+        if not self.wants(category):
+            return None
+        event = ReferenceEvent(self._next_seq, self.now_us, category,
+                               name, phase, args)
+        self._next_seq += 1
+        if len(self._events) >= self.capacity:
+            self._events.popleft()
+            self.dropped += 1
+        self._events.append(event)
+        for observer in self._observers:
+            observer(event)
+        return event
+
+    @property
+    def events(self):
+        return list(self._events)
+
+    @property
+    def nr_events(self):
+        return len(self._events)
+
+    @property
+    def nr_emitted(self):
+        return self._next_seq
+
+    def last_seq(self):
+        return self._events[-1].seq if self._events else None
+
+    def tail(self, n):
+        if n <= 0:
+            return []
+        return list(self._events)[-n:]
+
+    def begin(self, category, name, **args):
+        event = self.emit(category, name, phase="B", **args)
+        if event is None:
+            return None
+        span = Span(category, name, event.seq, event.ts_us)
+        self._span_stack.append(span)
+        return span
+
+    def end(self, span):
+        if span.closed:
+            raise TraceError(
+                f"span {span.category}/{span.name} closed twice")
+        if not self._span_stack:
+            raise TraceError(
+                f"closing span {span.category}/{span.name} "
+                f"with no span open")
+        top = self._span_stack[-1]
+        if top is not span:
+            raise TraceError(
+                f"mismatched span close: closing {span.category}/"
+                f"{span.name} while {top.category}/{top.name} is open")
+        self._span_stack.pop()
+        span.closed = True
+        return self.emit(span.category, span.name, phase="E",
+                         dur_us=round(self.now_us - span.begin_ts_us, 6))
+
+    @property
+    def open_spans(self):
+        return len(self._span_stack)
+
+    def count(self, category, name, delta=1):
+        if not self.wants(category):
+            return
+        key = (category, name)
+        self.counters[key] = self.counters.get(key, 0) + delta
+
+    def observe(self, category, name, value):
+        if not self.wants(category):
+            return
+        key = (category, name)
+        hist = self.histograms.get(key)
+        if hist is None:
+            hist = self.histograms[key] = Histogram()
+        hist.observe(value)
+
+
+def _outcome(fn):
+    """``to_json`` of what *fn* returns, or the TraceError message."""
+    try:
+        result = fn()
+    except TraceError as exc:
+        return ("TraceError", str(exc))
+    if isinstance(result, list):
+        return [event.to_json() for event in result]
+    return result.to_json() if hasattr(result, "to_json") else result
+
+
+def _state(recorder):
+    return {"events": [event.to_json() for event in recorder.events],
+            "seqs": [event.seq for event in recorder.events],
+            "dropped": recorder.dropped,
+            "nr_events": recorder.nr_events,
+            "nr_emitted": recorder.nr_emitted,
+            "last_seq": recorder.last_seq(),
+            "open_spans": recorder.open_spans,
+            "counters": dict(recorder.counters),
+            "histograms": {key: hist.to_json() for key, hist
+                           in recorder.histograms.items()}}
+
+
+_categories = st.sampled_from(CATEGORIES + ("gpu",))
+_names = st.sampled_from(("map", "unmap", "fq_defer", "x"))
+_ops = st.one_of(
+    st.tuples(st.just("emit"), _categories, _names,
+              st.sampled_from(("i", "B", "E")),
+              st.dictionaries(st.sampled_from(("iova", "site", "n")),
+                              st.integers(-3, 3), max_size=2)),
+    st.tuples(st.just("begin"), _categories, _names),
+    st.tuples(st.just("end"), st.integers(0, 3)),
+    st.tuples(st.just("count"), _categories, _names, st.integers(-2, 5)),
+    st.tuples(st.just("observe"), _categories, _names,
+              st.one_of(st.integers(-2, 3000),
+                        st.floats(-1.0, 1e4, allow_nan=False))),
+    st.tuples(st.just("tail"), st.integers(-1, 10)),
+    st.tuples(st.just("advance"), st.floats(0.0, 50.0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(capacity=st.integers(1, 8),
+       categories=st.one_of(st.none(),
+                            st.sets(st.sampled_from(CATEGORIES),
+                                    min_size=1).map(sorted)),
+       ops=st.lists(_ops, max_size=40))
+def test_recorder_matches_reference(capacity, categories, ops):
+    """The tuple-event, ``maxlen``-ring recorder, driven through the
+    module hooks the instrumented layers call, reproduces the old
+    recorder event for event."""
+    clock = SimClock()
+    reference = ReferenceRecorder(capacity=capacity,
+                                  categories=categories, clock=clock)
+    recorder = trace.install(TraceRecorder(
+        capacity=capacity, categories=categories, clock=clock))
+    seen_ref, seen_new = [], []
+    reference.add_observer(lambda e: seen_ref.append(e.to_json()))
+    recorder.add_observer(lambda e: seen_new.append(e.to_json()))
+    spans_ref, spans_new = [], []
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == "emit":
+                _, category, name, phase, args = op
+                assert _outcome(lambda: trace.emit(
+                    category, name, phase=phase, **args)) == \
+                    _outcome(lambda: reference.emit(
+                        category, name, phase=phase, **args))
+            elif kind == "begin":
+                _, category, name = op
+                got = _outcome(lambda: recorder.begin(category, name))
+                want = _outcome(lambda: reference.begin(category, name))
+                assert type(got) is type(want)
+                if isinstance(got, tuple):
+                    assert got == want
+                elif got is not None:
+                    spans_new.append(got)
+                    spans_ref.append(want)
+            elif kind == "end":
+                if spans_new:
+                    index = op[1] % len(spans_new)
+                    assert _outcome(lambda: recorder.end(
+                        spans_new[index])) == _outcome(
+                        lambda: reference.end(spans_ref[index]))
+            elif kind == "count":
+                _, category, name, delta = op
+                trace.count(category, name, delta)
+                reference.count(category, name, delta)
+            elif kind == "observe":
+                _, category, name, value = op
+                trace.observe(category, name, value)
+                reference.observe(category, name, value)
+            elif kind == "tail":
+                assert _outcome(lambda: recorder.tail(op[1])) == \
+                    _outcome(lambda: reference.tail(op[1]))
+            else:
+                clock.advance_us(op[1])
+            assert trace.last_seq() == reference.last_seq()
+        assert _state(recorder) == _state(reference)
+        assert seen_new == seen_ref
+    finally:
+        trace.uninstall()

@@ -2,6 +2,7 @@
 cross-references, trace-derived Figure-6 windows, campaign capture,
 and the ``repro-dma trace`` CLI."""
 
+import hashlib
 import io
 import json
 
@@ -186,6 +187,52 @@ def test_campaign_tracing_off_by_default():
     assert result.trace_tail == []
 
 
+# sha256 over 12 seeds' records (minus duration_s) at scale 0.06, pinned
+# from the recorder before events became tuples: any change to a
+# trace_tail, coverage vector or finding shows
+_RECORD_DIGESTS = {
+    None: "d28e317e5854ca34f5ff2564ba4418b6193328f0574b6f54c5e98ed293b97dcd",
+    "arm-smmuv3":
+        "fd91b8fc0d92ff45539a6bfc3f22b85589e8ad34f3075653495ed0cabd5392d4",
+}
+
+
+def _record_without_duration(seed, **kwargs):
+    from repro.campaign.runner import run_seed
+
+    record = run_seed(seed, scale=0.06, **kwargs)
+    record.pop("duration_s")
+    return record
+
+
+@pytest.mark.parametrize("backend", [None, "arm-smmuv3"])
+def test_campaign_records_are_pinned(backend):
+    digest = hashlib.sha256()
+    for seed in range(1, 13):
+        record = _record_without_duration(seed, backend=backend)
+        assert record["trace_tail"]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == _RECORD_DIGESTS[backend]
+
+
+@pytest.mark.parametrize("outer", [None, {}, {"categories": ("dma",)},
+                                   {"capacity": 8}],
+                         ids=["none", "unfiltered", "dma-only",
+                              "capacity-8"])
+def test_seed_record_ignores_an_outer_trace_session(outer):
+    """A seed replays under its own recorder: a session the caller
+    left installed neither changes the record nor sees the replay."""
+    expected = _record_without_duration(7)
+    assert expected["coverage"]["digest"].startswith("805dfe42a713")
+    recorder = None if outer is None \
+        else trace.install(trace.TraceRecorder(**outer))
+    emitted = None if recorder is None else recorder.nr_emitted
+    assert _record_without_duration(7) == expected
+    assert trace.active() is recorder
+    if recorder is not None:
+        assert recorder.nr_emitted == emitted
+
+
 def test_result_record_surfaces_trace_tail():
     from repro.campaign.oracle import (DetectorScore, DifferentialResult)
     from repro.campaign.results import result_record
@@ -216,6 +263,35 @@ def test_cli_trace_compile_ping_exports(tmp_path, capsys):
     assert {e.category for e in events} <= {"iommu", "dma"}
     doc = json.loads(chrome.read_text())
     assert doc["traceEvents"]
+
+
+# sha256 of `repro-dma trace` exports, pinned from the recorder before
+# events became tuples and `dropped` a derived count
+_EXPORT_DIGESTS = {
+    "compile-ping": (
+        "ee806e1cebdc65669e31ecc7d2f6542a1b43db20f600ebe3bf271d719d7b2e98",
+        "f07332486ef31eab8182c60294a2123d0b239f8759c4223f16ff9c2be3156d06"),
+    "storage": (
+        "9782f07b915909e854107bc45fcfc0513b50babf237c5eef7d6134b5ae2b6263",
+        "5a2a0385c386f4dfb5abe3038a89cd497e1f91c85f995b0ac0f88cfa4cdf7e2c"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "compile-ping"],
+    ["--workload", "storage", "--iommu-mode", "deferred",
+     "--capacity", "64"]], ids=["compile-ping", "storage"])
+def test_cli_trace_exports_are_pinned(argv, tmp_path, capsys):
+    jsonl = tmp_path / "trace.jsonl"
+    chrome = tmp_path / "trace.json"
+    assert main(["trace", *argv, "--output", str(jsonl),
+                 "--chrome", str(chrome)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (jsonl, chrome))
+    assert digests == _EXPORT_DIGESTS[argv[1]]
+    summary = json.loads(jsonl.read_text().splitlines()[-1])
+    assert summary["dropped"] == \
+        summary["nr_emitted"] - summary["nr_events"]
 
 
 def test_cli_trace_unknown_category_exits_2(capsys):
