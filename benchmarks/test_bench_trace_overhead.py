@@ -19,7 +19,11 @@ from repro.campaign.runner import run_seed
 SCALE = 0.1
 SEEDS = range(100, 110)
 REPEATS = 7
-OVERHEAD_BUDGET = 1.55
+# 30 runs on a 2-vCPU x86-64 VM under CPython 3.11 read 1.39-1.48 (the
+# recorder before events became tuples: 1.50-1.69); the budget sits more
+# than that whole spread above the worst run, for other hosts and
+# interpreters
+OVERHEAD_BUDGET = 1.60
 
 
 def _seed_cpu_s(seed: int, mutator: CorpusMutator, **kwargs) -> float:

@@ -136,26 +136,15 @@ def span(category: str, name: str, **args):
 
 
 def count(category: str, name: str, delta: int = 1) -> None:
-    """:meth:`TraceRecorder.count` on the installed recorder, inlined."""
     recorder = _active
-    if recorder is not None and (category in active_categories
-                                 or recorder.categories is None):
-        counters = recorder.counters
-        key = (category, name)
-        counters[key] = counters.get(key, 0) + delta
+    if recorder is not None:
+        recorder.count(category, name, delta)
 
 
 def observe(category: str, name: str, value: float) -> None:
-    """:meth:`TraceRecorder.observe` on the installed recorder, inlined."""
     recorder = _active
-    if recorder is not None and (category in active_categories
-                                 or recorder.categories is None):
-        histograms = recorder.histograms
-        key = (category, name)
-        hist = histograms.get(key)
-        if hist is None:
-            hist = histograms[key] = Histogram()
-        hist.observe(value)
+    if recorder is not None:
+        recorder.observe(category, name, value)
 
 
 def last_seq() -> int | None:

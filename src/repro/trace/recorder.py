@@ -94,13 +94,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if self.min is None:
-            self.min = self.max = value
-        else:
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
         index = 0
         if value >= 1:
             index = int(value).bit_length()
