@@ -51,6 +51,11 @@ def main():
     print(render_timeline(recorder.events, last=25))
     print()
     print(render_trace_summary(trace.summary_record(recorder)))
+    # the recorder keeps events only; counts come from the kernel's
+    # stats structs, which `repro-dma metrics` exports
+    maps = trace.event_counts(recorder.events)[("dma", "map")]
+    print(f"dma maps: {kernel.dma.registry.nr_added} counted by the "
+          f"DMA API, {maps} map events in the ring")
 
     windows = trace.derive_invalidation_windows(recorder.events)
     print(render_invalidation_report(windows))

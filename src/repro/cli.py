@@ -10,7 +10,9 @@ Subcommands mirror the paper's workflow:
 * ``campaign``  -- parallel differential fuzzing: SPADE vs D-KASAN
   over many mutated corpora, scored against ground truth
 * ``trace``     -- run a workload or attack under the flight recorder
-  and export the trace (JSONL, chrome://tracing, text timeline)
+  and export its events (JSONL, chrome://tracing, text timeline); the
+  exports' counters are the traced kernel's stats, as ``metrics``
+  reports them
 * ``coverage``  -- report, diff, merge, or rank the persistent
   campaign coverage maps (deterministic trace-derived signatures)
 * ``metrics``   -- run a workload under the metrics registry and
@@ -257,6 +259,25 @@ def cmd_attack(args) -> int:
     return 0 if report.escalated else 1
 
 
+def _trace_counters(kernel, recorder) -> dict:
+    """The traced kernel's stats-struct counters, as ``repro-dma
+    metrics`` publishes them, for the categories *recorder* kept:
+    ``{(subsystem, "name{label=value,...}"): value}``."""
+    from repro import metrics
+
+    registry = metrics.MetricsRegistry()
+    metrics.publish_kernel(registry, kernel)
+    counters = {}
+    for sample in registry.samples(collect=False):
+        if sample.kind != "counter" or not recorder.wants(sample.subsystem):
+            continue
+        labels = ",".join(f"{key}={value}" for key, value
+                          in sorted(sample.labels.items()))
+        name = f"{sample.name}{{{labels}}}" if labels else sample.name
+        counters[(sample.subsystem, name)] = sample.value
+    return counters
+
+
 def cmd_trace(args) -> int:
     from repro import trace as tracing
     from repro.report import (render_invalidation_report,
@@ -306,6 +327,7 @@ def cmd_trace(args) -> int:
             print(f"ringflood: flooded {report.slots_flooded} slots, "
                   f"hijacked {report.slots_hijacked}, "
                   f"escalated={report.escalated}")
+            kernel = victim
         elif args.workload == "compile-ping":
             from repro.sim.workload import run_compile_and_ping
             kernel = Kernel(seed=args.seed, phys_mb=256,
@@ -326,7 +348,8 @@ def cmd_trace(args) -> int:
             print(f"storage: {stats.commands} commands, "
                   f"{stats.bytes_transferred} bytes")
 
-        summary = tracing.summary_record(recorder)
+        counters = _trace_counters(kernel, recorder)
+        summary = tracing.summary_record(recorder, counters=counters)
         events = list(recorder.events)
         print(f"trace: {recorder.nr_events} events retained, "
               f"{recorder.nr_emitted} emitted, "
@@ -337,10 +360,12 @@ def cmd_trace(args) -> int:
             claim_ok = False
 
         if args.output:
-            nr = tracing.dump_jsonl(recorder, args.output)
+            nr = tracing.dump_jsonl(recorder, args.output,
+                                    counters=counters)
             print(f"wrote {nr} JSONL lines to {args.output}")
         if args.chrome:
-            nr = tracing.dump_chrome_trace(recorder, args.chrome)
+            nr = tracing.dump_chrome_trace(recorder, args.chrome,
+                                           counters=counters)
             print(f"wrote {nr} chrome trace events to {args.chrome}")
 
     if args.timeline:
@@ -1205,7 +1230,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--last", type=_positive_int, default=None,
                        help="limit the timeline to the last N events")
     trace.add_argument("--summary", action="store_true",
-                       help="print counters, histograms, and the "
+                       help="print event and drop counts, the "
+                            "traced kernel's counters (as 'repro-dma "
+                            "metrics' reports them), and the "
                             "trace-derived invalidation windows")
     trace.add_argument("--backend", metavar="NAME",
                        help="IOMMU backend model (see 'repro-dma "

@@ -37,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.metrics.registry import pow2_bucket
+
 #: trace categories a coverage signature is derived from. "fault" is
 #: deliberately excluded so recoverable tooling-fault plans cannot
 #: perturb the signature; "net"/"mem" are excluded to match the
@@ -45,15 +47,6 @@ COVERAGE_CATEGORIES = ("dma", "iommu", "dkasan")
 
 #: bump when the feature derivation changes incompatibly
 SIGNATURE_VERSION = 1
-
-
-def _bucket(value: float) -> int:
-    """Power-of-two bucket index, same convention as trace histograms:
-    bucket *i* holds values in ``[2**(i-1), 2**i)``; bucket 0 holds
-    values below 1 (including 0 and negatives)."""
-    if value >= 1:
-        return int(value).bit_length()
-    return 0
 
 
 def coverage_lane(backend) -> str:
@@ -127,12 +120,12 @@ class CoverageCollector:
             # a drain retires every pending defer (one global flush
             # per batch): each closed window is one pow-2 bucket hit
             for ts in self._pending_defers:
-                self._add(f"window/b{_bucket(event.ts_us - ts)}")
+                self._add(f"window/b{pow2_bucket(event.ts_us - ts)}")
             self._pending_defers.clear()
             self._add(f"iotlb/drain-drop:"
-                      f"b{_bucket(args.get('iotlb_dropped', 0))}")
+                      f"b{pow2_bucket(args.get('iotlb_dropped', 0))}")
             self._add(f"iotlb/drain-batch:"
-                      f"b{_bucket(args.get('nr_pending', 0))}")
+                      f"b{pow2_bucket(args.get('nr_pending', 0))}")
 
     @property
     def features(self) -> dict[str, int]:

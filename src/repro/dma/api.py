@@ -84,7 +84,6 @@ class DmaApi:
             trace.emit("dma", "map", device=device, iova=iova, kva=kva,
                        size=size, perm=perm.value, direction=direction,
                        nr_pages=nr_pages, site=str(site))
-            trace.count("dma", "maps")
         self._sink.on_dma_map(paddr, size, perm.value, device, site)
         return iova
 
@@ -110,9 +109,6 @@ class DmaApi:
             trace.emit("dma", "unmap", device=device, iova=iova,
                        kva=mapping.kva, size=size, perm=mapping.perm.value,
                        direction=direction, nr_pages=mapping.nr_pages)
-            trace.count("dma", "unmaps")
-            trace.observe("dma", "mapping_lifetime_us",
-                          self._clock.now_us - mapping.mapped_at_us)
         iova_base = iova & ~(PAGE_SIZE - 1)
         for i in range(mapping.nr_pages):
             self._iommu.unmap_page(device, (iova_base >> PAGE_SHIFT) + i)

@@ -194,7 +194,6 @@ class DeferredInvalidation(InvalidationPolicy):
             trace.emit("iommu", "fq_drain", nr_pending=nr_pending,
                        iotlb_dropped=dropped,
                        cycles=cycles, **self._trace_extra)
-            trace.count("iommu", "flushes")
         self._charge(cycles)
         callbacks, self._post_flush = self._post_flush, []
         for fn in callbacks:

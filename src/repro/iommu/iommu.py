@@ -187,9 +187,6 @@ class Iommu:
             remaining -= chunk
         self.stats.device_reads += 1
         self.stats.bytes_read += length
-        if trace.enabled("iommu"):
-            trace.count("iommu", "device_reads")
-            trace.observe("iommu", "device_read_bytes", length)
         return bytes(out)
 
     def device_write(self, device_name: str, iova: int, data: bytes) -> None:
@@ -206,9 +203,6 @@ class Iommu:
             view = view[chunk:]
         self.stats.device_writes += 1
         self.stats.bytes_written += len(data)
-        if trace.enabled("iommu"):
-            trace.count("iommu", "device_writes")
-            trace.observe("iommu", "device_write_bytes", len(data))
 
     def device_can_access(self, device_name: str, iova: int, *,
                           write: bool) -> bool:

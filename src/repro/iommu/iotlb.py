@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import faults, trace
+from repro import faults
 from repro.backends import DEFAULT_BACKEND, IommuBackend
 from repro.iommu.domain import IovaEntry
 
@@ -117,15 +117,11 @@ class Iotlb:
         entry = entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            if "iommu" in trace.active_categories:
-                trace.count("iommu", "iotlb_miss")
             return None
         if self._lru:
             del entries[key]
             entries[key] = entry
         self.stats.hits += 1
-        if "iommu" in trace.active_categories:
-            trace.count("iommu", "iotlb_hit")
         return entry
 
     def insert(self, domain_id: int, entry: IovaEntry) -> None:
@@ -162,8 +158,6 @@ class Iotlb:
     def invalidate(self, domain_id: int, iova_pfn: int) -> bool:
         """Invalidate one entry; True if it was cached."""
         self.stats.invalidations += 1
-        if "iommu" in trace.active_categories:
-            trace.count("iommu", "iotlb_invalidation")
         entries = self._set_of(domain_id, iova_pfn)
         return entries.pop((domain_id, iova_pfn), None) is not None
 

@@ -158,7 +158,6 @@ class SlabAllocator:
             trace.emit("mem", "kmalloc", size=size,
                        object_size=cache.object_size, cpu=cpu,
                        pfn=paddr_to_pfn(obj_paddr), site=str(site))
-            trace.observe("mem", "kmalloc_size", size)
         self._sink.on_alloc(obj_paddr, cache.object_size, site)
         return self._translate.kva_of_paddr(obj_paddr)
 

@@ -4,7 +4,9 @@ The registry is the aggregate tier of observability: where
 :mod:`repro.trace` records *individual* events into a bounded ring
 (and therefore drops the oldest under pressure), the registry holds
 *unbounded* counters, gauges, and pow-2 histograms -- the numbers a
-production kernel exposes under ``/proc`` and a fleet alerts on.
+production kernel exposes under ``/proc`` and a fleet alerts on. It
+is the only counter tier: the flight recorder keeps none, and
+``repro-dma trace`` takes its exports' counters from here.
 
 Design notes:
 
@@ -83,13 +85,17 @@ class Gauge:
         self.value -= delta
 
 
+def pow2_bucket(value: float) -> int:
+    """Power-of-two bucket index: bucket ``i`` holds values in
+    ``[2**(i-1), 2**i)``; bucket 0 holds values below 1 (0 and
+    negatives included)."""
+    return int(value).bit_length() if value >= 1 else 0
+
+
 @dataclass
 class Histogram:
-    """Power-of-two bucketed histogram (same shape as the trace tier).
-
-    Bucket ``i`` counts observations in ``[2**(i-1), 2**i)``; bucket 0
-    counts values below 1.  Negative observations are clamped to 0.
-    """
+    """Power-of-two bucketed histogram; :func:`pow2_bucket` picks each
+    observation's bucket."""
 
     buckets: dict[int, int] = field(default_factory=dict)
     count: int = 0
@@ -98,7 +104,7 @@ class Histogram:
     max: float | None = None
 
     def observe(self, value: float) -> None:
-        index = int(max(value, 0)).bit_length()
+        index = pow2_bucket(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.total += value

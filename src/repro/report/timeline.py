@@ -74,7 +74,8 @@ def render_timeline(events: Iterable["TraceEvent"], *,
 
 
 def render_trace_summary(summary: dict) -> str:
-    """Render a :func:`repro.trace.summary_record` dict as text."""
+    """Render a :func:`repro.trace.summary_record` dict as text: event
+    and drop counts, then the counters the record carries."""
     lines = [
         f"events: {summary['nr_events']} retained / "
         f"{summary['nr_emitted']} emitted "
@@ -86,16 +87,6 @@ def render_trace_summary(summary: dict) -> str:
         width = max(len(name) for name in counters)
         for name in sorted(counters):
             lines.append(f"  {name:<{width}}  {counters[name]}")
-    histograms = summary.get("histograms") or {}
-    if histograms:
-        lines.append("histograms:")
-        width = max(len(name) for name in histograms)
-        for name in sorted(histograms):
-            h = histograms[name]
-            mean = h["total"] / h["count"] if h["count"] else 0.0
-            lines.append(
-                f"  {name:<{width}}  n={h['count']} "
-                f"min={h['min']:.1f} mean={mean:.1f} max={h['max']:.1f}")
     return "\n".join(lines)
 
 

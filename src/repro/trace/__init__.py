@@ -4,7 +4,9 @@ An ftrace/perf-style tracing layer over the whole simulation: the DMA
 API, the IOMMU (IOTLB and flush queue), the network rings, the
 allocators, D-KASAN, and the attacks all carry tracepoints that emit
 typed events into one bounded ring buffer, stamped from the simulated
-clock.
+clock. It records events and spans only; counts live in the resident
+stats structs that :mod:`repro.metrics` reads out (``repro-dma
+metrics``).
 
 **Tracing is disabled by default and costs almost nothing when off.**
 Instrumented call sites guard with :func:`enabled`, which is a single
@@ -41,16 +43,16 @@ from repro.trace.analysis import (InvalidationWindows,
 from repro.trace.export import (chrome_trace, dump_chrome_trace,
                                 dump_jsonl, load_jsonl, summary_record,
                                 write_jsonl)
-from repro.trace.recorder import (CATEGORIES, DEFAULT_CAPACITY, Histogram,
-                                  Span, TraceEvent, TraceRecorder)
+from repro.trace.recorder import (CATEGORIES, DEFAULT_CAPACITY, Span,
+                                  TraceEvent, TraceRecorder)
 
 __all__ = [
-    "CATEGORIES", "DEFAULT_CAPACITY", "Histogram", "InvalidationWindows",
+    "CATEGORIES", "DEFAULT_CAPACITY", "InvalidationWindows",
     "Span", "TraceError", "TraceEvent", "TraceRecorder", "active",
-    "bind_clock", "chrome_trace", "count", "derive_invalidation_windows",
+    "bind_clock", "chrome_trace", "derive_invalidation_windows",
     "active_categories", "dump_chrome_trace", "dump_jsonl", "emit",
     "enabled", "event_counts",
-    "install", "last_seq", "load_jsonl", "observe", "session", "span",
+    "install", "last_seq", "load_jsonl", "session", "span",
     "stale_access_count", "summary_record", "uninstall", "write_jsonl",
 ]
 
@@ -133,18 +135,6 @@ def span(category: str, name: str, **args):
     if recorder is None:
         return _NULL_SPAN
     return recorder.span(category, name, **args)
-
-
-def count(category: str, name: str, delta: int = 1) -> None:
-    recorder = _active
-    if recorder is not None:
-        recorder.count(category, name, delta)
-
-
-def observe(category: str, name: str, value: float) -> None:
-    recorder = _active
-    if recorder is not None:
-        recorder.observe(category, name, value)
 
 
 def last_seq() -> int | None:

@@ -1,42 +1,49 @@
 """Trace exporters: JSONL and Chrome ``chrome://tracing`` JSON.
 
 The JSONL stream is the machine-readable format: one event object per
-line, followed by one ``type: "summary"`` line carrying the dropped
-count, counters, and histograms. Events serialize with sorted keys, so
-two runs with the same seeds produce byte-identical files -- the
-property the determinism tests pin.
+line, followed by one ``type: "summary"`` line carrying the event and
+drop counts plus the counters passed in. Events serialize with sorted
+keys, so two runs with the same seeds produce byte-identical files --
+the property the determinism tests pin.
 
 The Chrome export produces the trace-event JSON schema that
 ``chrome://tracing`` / Perfetto load directly: instant events ("i"),
 span begin/end pairs ("B"/"E"), counter samples ("C"), and "M"
 metadata rows naming one virtual thread per category.
+
+The recorder keeps no counters. Every exporter takes them as a
+``{(category, name): value}`` mapping; ``repro-dma trace`` fills it
+from the traced kernel's stats structs via :mod:`repro.metrics`.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from typing import IO, Iterable
+from typing import IO, Iterable, Mapping
 
 from repro.trace.recorder import CATEGORIES, TraceEvent, TraceRecorder
 
+#: ``{(category, name): value}`` counter samples an export carries
+Counters = Mapping[tuple[str, str], int]
 
-def summary_record(recorder: TraceRecorder) -> dict:
-    """The aggregate JSONL trailer line."""
+
+def summary_record(recorder: TraceRecorder, *,
+                   counters: Counters | None = None) -> dict:
+    """The JSONL trailer line: event and drop counts plus *counters*."""
     return {
         "type": "summary",
         "nr_events": recorder.nr_events,
         "nr_emitted": recorder.nr_emitted,
         "dropped": recorder.dropped,
-        "counters": {f"{cat}/{name}": value for (cat, name), value
-                     in sorted(recorder.counters.items())},
-        "histograms": {f"{cat}/{name}": hist.to_json()
-                       for (cat, name), hist
-                       in sorted(recorder.histograms.items())},
+        "counters": {f"{cat}/{name}": value
+                     for (cat, name), value
+                     in sorted((counters or {}).items())},
     }
 
 
-def write_jsonl(recorder: TraceRecorder, stream: IO[str]) -> int:
+def write_jsonl(recorder: TraceRecorder, stream: IO[str], *,
+                counters: Counters | None = None) -> int:
     """Write every retained event plus the summary line; returns the
     number of event lines written."""
     written = 0
@@ -44,14 +51,15 @@ def write_jsonl(recorder: TraceRecorder, stream: IO[str]) -> int:
         record = dict(event.to_json(), type="event")
         stream.write(json.dumps(record, sort_keys=True) + "\n")
         written += 1
-    stream.write(json.dumps(summary_record(recorder), sort_keys=True)
-                 + "\n")
+    stream.write(json.dumps(summary_record(recorder, counters=counters),
+                            sort_keys=True) + "\n")
     return written
 
 
-def dump_jsonl(recorder: TraceRecorder, path: str) -> int:
+def dump_jsonl(recorder: TraceRecorder, path: str, *,
+               counters: Counters | None = None) -> int:
     with open(path, "w", encoding="utf-8") as handle:
-        return write_jsonl(recorder, handle)
+        return write_jsonl(recorder, handle, counters=counters)
 
 
 def load_jsonl(path: str) -> tuple[list[TraceEvent], dict | None]:
@@ -94,7 +102,7 @@ def load_jsonl(path: str) -> tuple[list[TraceEvent], dict | None]:
 
 
 def chrome_trace(events: Iterable[TraceEvent], *,
-                 counters: dict | None = None,
+                 counters: Counters | None = None,
                  process_name: str = "repro-dma") -> dict:
     """Build a ``chrome://tracing`` trace-event JSON document.
 
@@ -131,9 +139,10 @@ def chrome_trace(events: Iterable[TraceEvent], *,
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def dump_chrome_trace(recorder: TraceRecorder, path: str) -> int:
+def dump_chrome_trace(recorder: TraceRecorder, path: str, *,
+                      counters: Counters | None = None) -> int:
     """Write the Chrome trace JSON; returns the number of traceEvents."""
-    document = chrome_trace(recorder.events, counters=recorder.counters)
+    document = chrome_trace(recorder.events, counters=counters)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, sort_keys=True)
         handle.write("\n")

@@ -8,19 +8,16 @@ memory O(capacity) even when a RingFlood-scale workload emits millions
 of tracepoints: the recorder behaves like a hardware flight recorder,
 always holding the most recent history.
 
-Besides raw events, the recorder aggregates:
-
-* **spans** -- nested begin/end pairs for latency attribution (rendered
-  as "B"/"E" phases, Chrome-trace style);
-* **counters** -- monotonic per-(category, name) tallies;
-* **histograms** -- power-of-two bucketed value distributions, for
-  rates and latency spreads without storing every sample.
+Besides instant events, the recorder keeps **spans** -- nested
+begin/end pairs for latency attribution (rendered as "B"/"E" phases,
+Chrome-trace style). It records events only: counts (maps, IOTLB
+hits, device accesses, ...) live in the subsystems' resident stats
+structs, which :mod:`repro.metrics` reads out at snapshot time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.errors import TraceError
@@ -76,42 +73,6 @@ class TraceEvent(_EventFields):
 _new_event = tuple.__new__
 
 
-@dataclass
-class Histogram:
-    """Power-of-two bucketed distribution (ftrace ``hist:`` style).
-
-    Bucket *i* counts values in ``[2**(i-1), 2**i)``; bucket 0 counts
-    values < 1 (including 0 and negatives, which a simulated latency
-    should never produce but a buggy caller might).
-    """
-
-    count: int = 0
-    total: float = 0.0
-    min: float | None = None
-    max: float | None = None
-    buckets: dict[int, int] = field(default_factory=dict)
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        index = 0
-        if value >= 1:
-            index = int(value).bit_length()
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_json(self) -> dict:
-        return {"count": self.count, "total": round(self.total, 6),
-                "min": self.min, "max": self.max, "mean": round(self.mean, 6),
-                "buckets": {str(k): v
-                            for k, v in sorted(self.buckets.items())}}
-
-
 class Span:
     """Handle for an open span; close via the recorder (or ``with``)."""
 
@@ -152,11 +113,10 @@ class TraceRecorder:
     """Bounded, category-filtered, deterministically stamped recorder.
 
     ``categories=None`` records everything; otherwise only the named
-    categories are kept (the rest are no-ops, including their counters
-    and histograms). The clock may be bound after construction --
-    :class:`repro.sim.kernel.Kernel` binds its own clock at boot when a
-    recorder is installed, so events are stamped in that kernel's
-    simulated time.
+    categories are kept (the rest are no-ops). The clock may be bound
+    after construction -- :class:`repro.sim.kernel.Kernel` binds its
+    own clock at boot when a recorder is installed, so events are
+    stamped in that kernel's simulated time.
     """
 
     def __init__(self, *, capacity: int = DEFAULT_CAPACITY,
@@ -179,8 +139,6 @@ class TraceRecorder:
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._next_seq = 0
         self._span_stack: list[Span] = []
-        self.counters: dict[tuple[str, str], int] = {}
-        self.histograms: dict[tuple[str, str], Histogram] = {}
         self._observers: list = []
 
     # -- configuration ------------------------------------------------------
@@ -304,22 +262,3 @@ class TraceRecorder:
     @property
     def open_spans(self) -> int:
         return len(self._span_stack)
-
-    # -- aggregates ---------------------------------------------------------
-
-    def count(self, category: str, name: str, delta: int = 1) -> None:
-        """Bump a monotonic counter (no ring-buffer traffic)."""
-        if not self.wants(category):
-            return
-        key = (category, name)
-        self.counters[key] = self.counters.get(key, 0) + delta
-
-    def observe(self, category: str, name: str, value: float) -> None:
-        """Record one sample into a pow-2 bucketed histogram."""
-        if not self.wants(category):
-            return
-        key = (category, name)
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = Histogram()
-        hist.observe(value)

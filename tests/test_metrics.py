@@ -4,12 +4,15 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import metrics
 from repro.errors import MetricsError
-from repro.metrics import (Heartbeat, HeartbeatMonitor, MetricsRegistry,
-                           format_progress)
+from repro.metrics import (Heartbeat, HeartbeatMonitor, Histogram,
+                           MetricsRegistry, format_progress)
 from repro.metrics.export import json_record, prometheus_text
+from repro.metrics.registry import pow2_bucket
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +59,31 @@ def test_histogram_pow2_buckets():
     assert hist.min == -2
     assert hist.max == 3.5
     assert hist.to_json()["buckets"] == {"0": 2, "1": 1, "2": 2}
+
+
+def _coverage_bucket(value):
+    """The coverage signature's own bucket function before it shared
+    :func:`pow2_bucket`, kept as the reference."""
+    if value >= 1:
+        return int(value).bit_length()
+    return 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(-(1 << 40), 1 << 40),
+                 st.floats(allow_nan=False, allow_infinity=False,
+                           min_value=-1e15, max_value=1e15),
+                 st.floats(-1.0, 1.0),
+                 st.sampled_from((0, 0.0, -0.0, 0.5, 0.999999, 1, 1.0,
+                                  1.5, 2, -1, -0.5))))
+def test_pow2_bucket_matches_the_coverage_bucket(value):
+    """One bucket function serves the metrics histograms and the
+    coverage signature: it must give the index the signature's old
+    helper gave, or coverage digests would move."""
+    assert pow2_bucket(value) == _coverage_bucket(value)
+    hist = Histogram()
+    hist.observe(value)
+    assert hist.buckets == {pow2_bucket(value): 1}
 
 
 def test_labeled_family_instruments_are_distinct():

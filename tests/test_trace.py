@@ -1,4 +1,4 @@
-"""repro.trace unit tests: ring, spans, aggregates, exporters.
+"""repro.trace unit tests: ring, spans, exporters.
 
 Everything here drives the recorder directly (no kernel); the
 cross-layer behaviour lives in ``test_trace_integration.py``.
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro import trace
 from repro.errors import TraceError
 from repro.sim.clock import SimClock
-from repro.trace import (CATEGORIES, Histogram, Span, TraceEvent,
+from repro.trace import (CATEGORIES, Span, TraceEvent,
                          TraceRecorder, chrome_trace,
                          derive_invalidation_windows, event_counts,
                          load_jsonl, summary_record, write_jsonl)
@@ -78,17 +78,12 @@ def test_events_stamped_from_bound_clock():
 # -- category filtering ----------------------------------------------------------
 
 
-def test_category_filter_drops_events_counters_histograms():
+def test_category_filter_drops_events():
     recorder = TraceRecorder(categories=("iommu",))
     assert recorder.wants("iommu") and not recorder.wants("dma")
     assert recorder.emit("dma", "map") is None
     assert recorder.emit("iommu", "fq_defer") is not None
-    recorder.count("dma", "maps")
-    recorder.count("iommu", "flushes")
-    recorder.observe("dma", "lifetime", 3.0)
     assert recorder.nr_events == 1
-    assert recorder.counters == {("iommu", "flushes"): 1}
-    assert recorder.histograms == {}
 
 
 def test_unfiltered_recorder_accepts_every_category():
@@ -159,30 +154,6 @@ def test_filtered_span_is_noop():
     assert recorder.nr_events == 0
 
 
-# -- aggregates -------------------------------------------------------------------
-
-
-def test_histogram_pow2_buckets():
-    hist = Histogram()
-    for value in (0, 0.5, 1, 2, 3, 1024):
-        hist.observe(value)
-    # bucket i counts [2**(i-1), 2**i); <1 lands in bucket 0
-    assert hist.buckets == {0: 2, 1: 1, 2: 2, 11: 1}
-    assert hist.count == 6
-    assert hist.min == 0 and hist.max == 1024
-    assert hist.mean == pytest.approx(1030.5 / 6)
-
-
-def test_counters_accumulate():
-    recorder = TraceRecorder()
-    recorder.count("iommu", "iotlb_hit")
-    recorder.count("iommu", "iotlb_hit", 4)
-    recorder.count("iommu", "iotlb_miss")
-    assert recorder.counters[("iommu", "iotlb_hit")] == 5
-    assert recorder.counters[("iommu", "iotlb_miss")] == 1
-    assert recorder.nr_events == 0  # counters stay off the ring
-
-
 # -- module-level no-op guard -----------------------------------------------------
 
 
@@ -191,8 +162,6 @@ def test_disabled_by_default_hooks_are_noops():
     assert trace.enabled("dma") is False
     assert trace.emit("dma", "map", iova=1) is None
     assert trace.last_seq() is None
-    trace.count("dma", "maps")
-    trace.observe("dma", "lifetime", 1.0)
     trace.bind_clock(SimClock())
     with trace.span("attack", "s") as span:
         assert span is None
@@ -241,8 +210,6 @@ def _sample_recorder() -> TraceRecorder:
     with recorder.span("attack", "phase", rank=0):
         clock.advance_us(2.0)
         recorder.emit("iommu", "fq_defer", domain=1, iova_pfn=2)
-    recorder.count("dma", "maps", 2)
-    recorder.observe("dma", "lifetime", 5.0)
     return recorder
 
 
@@ -254,8 +221,6 @@ def test_jsonl_roundtrip(tmp_path):
     events, summary = load_jsonl(str(path))
     assert events == recorder.events
     assert summary["nr_events"] == recorder.nr_events
-    assert summary["counters"] == {"dma/maps": 2}
-    assert summary["histograms"]["dma/lifetime"]["count"] == 1
 
 
 def test_jsonl_lines_are_sorted_json():
@@ -272,11 +237,19 @@ def test_summary_record_shape():
     assert summary["type"] == "summary"
     assert summary["nr_emitted"] == 4  # map + B + fq_defer + E
     assert summary["dropped"] == 0
+    assert summary["counters"] == {}
+    counted = summary_record(_sample_recorder(),
+                             counters={("iommu", "faults"): 1,
+                                       ("dma", "maps"): 2})
+    assert set(counted) == {"type", "nr_events", "nr_emitted",
+                            "dropped", "counters"}
+    assert list(counted["counters"].items()) == [("dma/maps", 2),
+                                                 ("iommu/faults", 1)]
 
 
 def test_chrome_trace_schema():
     recorder = _sample_recorder()
-    doc = chrome_trace(recorder.events, counters=recorder.counters)
+    doc = chrome_trace(recorder.events, counters={("dma", "maps"): 2})
     assert set(doc) == {"traceEvents", "displayTimeUnit"}
     rows = doc["traceEvents"]
     metadata = [r for r in rows if r["ph"] == "M"]
@@ -399,8 +372,6 @@ class ReferenceRecorder:
         self._next_seq = 0
         self.dropped = 0
         self._span_stack = []
-        self.counters = {}
-        self.histograms = {}
         self._observers = []
 
     def wants(self, category):
@@ -479,20 +450,6 @@ class ReferenceRecorder:
     def open_spans(self):
         return len(self._span_stack)
 
-    def count(self, category, name, delta=1):
-        if not self.wants(category):
-            return
-        key = (category, name)
-        self.counters[key] = self.counters.get(key, 0) + delta
-
-    def observe(self, category, name, value):
-        if not self.wants(category):
-            return
-        key = (category, name)
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = Histogram()
-        hist.observe(value)
 
 
 def _outcome(fn):
@@ -513,10 +470,7 @@ def _state(recorder):
             "nr_events": recorder.nr_events,
             "nr_emitted": recorder.nr_emitted,
             "last_seq": recorder.last_seq(),
-            "open_spans": recorder.open_spans,
-            "counters": dict(recorder.counters),
-            "histograms": {key: hist.to_json() for key, hist
-                           in recorder.histograms.items()}}
+            "open_spans": recorder.open_spans}
 
 
 _categories = st.sampled_from(CATEGORIES + ("gpu",))
@@ -528,10 +482,6 @@ _ops = st.one_of(
                               st.integers(-3, 3), max_size=2)),
     st.tuples(st.just("begin"), _categories, _names),
     st.tuples(st.just("end"), st.integers(0, 3)),
-    st.tuples(st.just("count"), _categories, _names, st.integers(-2, 5)),
-    st.tuples(st.just("observe"), _categories, _names,
-              st.one_of(st.integers(-2, 3000),
-                        st.floats(-1.0, 1e4, allow_nan=False))),
     st.tuples(st.just("tail"), st.integers(-1, 10)),
     st.tuples(st.just("advance"), st.floats(0.0, 50.0)))
 
@@ -580,14 +530,6 @@ def test_recorder_matches_reference(capacity, categories, ops):
                     assert _outcome(lambda: recorder.end(
                         spans_new[index])) == _outcome(
                         lambda: reference.end(spans_ref[index]))
-            elif kind == "count":
-                _, category, name, delta = op
-                trace.count(category, name, delta)
-                reference.count(category, name, delta)
-            elif kind == "observe":
-                _, category, name, value = op
-                trace.observe(category, name, value)
-                reference.observe(category, name, value)
             elif kind == "tail":
                 assert _outcome(lambda: recorder.tail(op[1])) == \
                     _outcome(lambda: reference.tail(op[1]))

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro import trace
+from repro import metrics, trace
 from repro.cli import main
 from repro.sim.kernel import Kernel
 from repro.trace import derive_invalidation_windows, event_counts
@@ -36,7 +36,9 @@ def _traced_workload(seed: int, *, rounds: int = 5, **session_kwargs):
 
 
 def test_workload_emits_across_categories():
-    recorder = _traced_workload(7)
+    with metrics.session() as registry:
+        recorder = _traced_workload(7)
+        samples = registry.samples()
     counts = event_counts(recorder.events)
     categories = {cat for cat, _name in counts}
     assert {"sim", "dma", "iommu", "net", "mem"} <= categories
@@ -45,12 +47,13 @@ def test_workload_emits_across_categories():
                 ("net", "skb_alloc"), ("mem", "kmalloc"),
                 ("iommu", "fq_defer")):
         assert counts[key] > 0, key
-    # nothing dropped at default capacity, so the off-ring counter
-    # must agree with the on-ring event count
+    # nothing dropped at default capacity, so the DMA API's pulled
+    # counters must agree with the on-ring event counts
     assert recorder.dropped == 0
-    assert recorder.counters[("dma", "maps")] == counts[("dma", "map")]
-    assert recorder.histograms[("dma", "mapping_lifetime_us")].count == \
-        counts[("dma", "unmap")]
+    pulled = {sample.name: sample.value for sample in samples
+              if sample.subsystem == "dma" and sample.kind == "counter"}
+    assert pulled["maps"] == counts[("dma", "map")]
+    assert pulled["unmaps"] == counts[("dma", "unmap")]
 
 
 def test_boot_event_carries_kernel_identity():
@@ -265,15 +268,16 @@ def test_cli_trace_compile_ping_exports(tmp_path, capsys):
     assert doc["traceEvents"]
 
 
-# sha256 of `repro-dma trace` exports, pinned from the recorder before
-# events became tuples and `dropped` a derived count
+# sha256 of the `repro-dma trace` JSONL event lines (every line but the
+# summary) and of the chrome document without its "C" counter rows,
+# both taken from the recorder that still kept its own counters
 _EXPORT_DIGESTS = {
     "compile-ping": (
-        "ee806e1cebdc65669e31ecc7d2f6542a1b43db20f600ebe3bf271d719d7b2e98",
-        "f07332486ef31eab8182c60294a2123d0b239f8759c4223f16ff9c2be3156d06"),
+        "32c63c86c7dd06dff3cfe0af2ff0c89d7b5b5fa7c5e5944385541ffcd99e1b46",
+        "ab32c137e0213859a716e87149dee541b3179cc948708b97fbec10fe83e7435a"),
     "storage": (
-        "9782f07b915909e854107bc45fcfc0513b50babf237c5eef7d6134b5ae2b6263",
-        "5a2a0385c386f4dfb5abe3038a89cd497e1f91c85f995b0ac0f88cfa4cdf7e2c"),
+        "2221aa0e65134ad9bbd20ca4f4863a73f4efd51ca8189626dfd5d86bd5c21c49",
+        "52b885339d2b3400ae028b69b5a6e345c840fec0026746cde6617e5a4318c445"),
 }
 
 
@@ -286,14 +290,58 @@ def test_cli_trace_exports_are_pinned(argv, tmp_path, capsys):
     chrome = tmp_path / "trace.json"
     assert main(["trace", *argv, "--output", str(jsonl),
                  "--chrome", str(chrome)]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
-                    for path in (jsonl, chrome))
+    *event_lines, summary_line = jsonl.read_bytes().splitlines(
+        keepends=True)
+    doc = json.loads(chrome.read_text())
+    doc["traceEvents"] = [row for row in doc["traceEvents"]
+                          if row["ph"] != "C"]
+    digests = (hashlib.sha256(b"".join(event_lines)).hexdigest(),
+               hashlib.sha256(json.dumps(doc, sort_keys=True)
+                              .encode()).hexdigest())
     assert digests == _EXPORT_DIGESTS[argv[1]]
-    summary = json.loads(jsonl.read_text().splitlines()[-1])
+    summary = json.loads(summary_line)
+    assert set(summary) == {"type", "nr_events", "nr_emitted", "dropped",
+                            "counters"}
     assert summary["dropped"] == \
         summary["nr_emitted"] - summary["nr_events"]
     # only the 64-event ring overflows, so the derived count is exercised
     assert (summary["dropped"] > 0) == ("--capacity" in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "compile-ping"],
+    ["--workload", "storage", "--iommu-mode", "deferred"]],
+    ids=["compile-ping", "storage"])
+def test_cli_trace_counters_are_the_metrics_counters(argv, tmp_path,
+                                                      capsys):
+    """The trace summary's counters are the traced kernel's counter
+    samples, exactly as `repro-dma metrics` exports them."""
+    jsonl = tmp_path / "trace.jsonl"
+    chrome = tmp_path / "trace.json"
+    exported = tmp_path / "metrics.json"
+    assert main(["trace", *argv, "--output", str(jsonl),
+                 "--chrome", str(chrome)]) == 0
+    assert main(["metrics", *argv, "--format", "json",
+                 "--output", str(exported)]) == 0
+    summary = json.loads(jsonl.read_text().splitlines()[-1])
+    # the metrics run also publishes its D-KASAN and the perfcache,
+    # which a trace run does not attach: compare the kernel's own
+    expected = {}
+    for record in json.loads(exported.read_text())["metrics"]:
+        if record["kind"] == "counter" and \
+                record["subsystem"] in ("dma", "iommu", "net", "mem"):
+            labels = ",".join(f"{key}={value}" for key, value
+                              in sorted(record["labels"].items()))
+            name = f"{record['subsystem']}/{record['name']}"
+            expected[name + (f"{{{labels}}}" if labels else "")] = \
+                record["value"]
+    assert expected["dma/maps"] > 0
+    assert summary["counters"] == expected
+    rows = {(row["cat"], row["name"]): row["args"]["value"]
+            for row in json.loads(chrome.read_text())["traceEvents"]
+            if row["ph"] == "C"}
+    assert {f"{cat}/{name}": value for (cat, name), value
+            in rows.items()} == expected
 
 
 def test_cli_trace_unknown_category_exits_2(capsys):
