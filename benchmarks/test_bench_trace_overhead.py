@@ -6,15 +6,21 @@ coverage collector (:func:`repro.campaign.oracle.run_differential`).
 This benchmark holds that fan-out to a budget: a warm seed with the
 default recorder and coverage may cost at most ``OVERHEAD_BUDGET``
 times the CPU time of the same seed run with ``coverage=False,
-trace_events=0``, which installs no recorder at all. It records no
-paper comparison.
+trace_events=0``, which installs no recorder at all.
+
+The replay memo (:mod:`repro.sim.replay_memo`) has a budget of its
+own: a warm seed with the memo may cost at most ``MEMO_BUDGET`` times
+the CPU time of the same seed with the memo forced off. Neither
+records a paper comparison.
 """
 
 import time
+from unittest import mock
 
 from repro import trace
 from repro.campaign.mutate import CorpusMutator
 from repro.campaign.runner import run_seed
+from repro.sim import replay_memo
 
 SCALE = 0.1
 SEEDS = range(100, 110)
@@ -24,6 +30,9 @@ REPEATS = 7
 # than that whole spread above the worst run, for other hosts and
 # interpreters
 OVERHEAD_BUDGET = 1.60
+# four runs on the same VM read 0.56-0.58; a memo some state field
+# silently turned off reads ~1.0
+MEMO_BUDGET = 0.75
 
 
 def _seed_cpu_s(seed: int, mutator: CorpusMutator, **kwargs) -> float:
@@ -32,29 +41,55 @@ def _seed_cpu_s(seed: int, mutator: CorpusMutator, **kwargs) -> float:
     return time.process_time() - started
 
 
-def test_trace_overhead_within_budget():
-    assert trace.active() is None
-    mutator = CorpusMutator(2021, scale=SCALE)
+def _full_replay_cpu_s(seed: int, mutator: CorpusMutator) -> float:
+    with mock.patch.object(replay_memo, "_default_path",
+                           lambda *args: False):
+        return _seed_cpu_s(seed, mutator)
+
+
+def _best_of_interleaved(mutator: CorpusMutator, measure_on,
+                         measure_off) -> tuple[float, float]:
+    """Mean best-of-REPEATS ms/seed of two ways to run the seeds.
+
+    The two sides interleave per seed so machine-load drift hits both
+    equally; best-of-N per seed and side damps the remaining noise.
+    """
     for seed in SEEDS:  # warm the base corpus and the analysis cache
         run_seed(seed, scale=SCALE, mutator=mutator)
-
-    # interleave traced/untraced runs of each seed so machine-load
-    # drift hits both sides equally; best-of-N per seed and side damps
-    # the remaining noise
     best_on = dict.fromkeys(SEEDS, float("inf"))
     best_off = dict.fromkeys(SEEDS, float("inf"))
     for _ in range(REPEATS):
         for seed in SEEDS:
-            best_on[seed] = min(best_on[seed], _seed_cpu_s(seed, mutator))
-            best_off[seed] = min(best_off[seed], _seed_cpu_s(
-                seed, mutator, coverage=False, trace_events=0))
-    assert trace.active() is None
+            best_on[seed] = min(best_on[seed], measure_on(seed))
+            best_off[seed] = min(best_off[seed], measure_off(seed))
+    return (sum(best_on.values()) / len(SEEDS) * 1e3,
+            sum(best_off.values()) / len(SEEDS) * 1e3)
 
-    on_ms = sum(best_on.values()) / len(SEEDS) * 1e3
-    off_ms = sum(best_off.values()) / len(SEEDS) * 1e3
+
+def test_trace_overhead_within_budget():
+    assert trace.active() is None
+    mutator = CorpusMutator(2021, scale=SCALE)
+    on_ms, off_ms = _best_of_interleaved(
+        mutator, lambda seed: _seed_cpu_s(seed, mutator),
+        lambda seed: _seed_cpu_s(seed, mutator, coverage=False,
+                                 trace_events=0))
+    assert trace.active() is None
     ratio = on_ms / off_ms
     print(f"\ntrace overhead: ring+coverage {on_ms:.2f} ms/seed, "
           f"no recorder {off_ms:.2f} ms/seed (ratio {ratio:.3f})")
     assert ratio <= OVERHEAD_BUDGET, (
         f"the replay's flight recorder and coverage stream cost "
         f"{ratio:.2f}x an untraced seed (> {OVERHEAD_BUDGET}x budget)")
+
+
+def test_replay_memo_within_budget():
+    mutator = CorpusMutator(2021, scale=SCALE)
+    memo_ms, full_ms = _best_of_interleaved(
+        mutator, lambda seed: _seed_cpu_s(seed, mutator),
+        lambda seed: _full_replay_cpu_s(seed, mutator))
+    ratio = memo_ms / full_ms
+    print(f"\nreplay memo: {memo_ms:.2f} ms/seed, full replay "
+          f"{full_ms:.2f} ms/seed (ratio {ratio:.3f})")
+    assert ratio <= MEMO_BUDGET, (
+        f"a seed with the replay memo costs {ratio:.2f}x the same seed "
+        f"with it off (> {MEMO_BUDGET}x budget)")

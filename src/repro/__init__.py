@@ -22,7 +22,7 @@ from repro.sim.kernel import Kernel
 from repro.core.vulns import SubPageVulnerability, VulnType
 from repro.core.attributes import VulnerabilityAttributes
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "Kernel",

@@ -283,6 +283,7 @@ def cmd_trace(args) -> int:
     from repro.report import (render_invalidation_report,
                               render_timeline, render_trace_summary)
     from repro.sim.kernel import Kernel
+    from repro.sim.workload import NAMED_WORKLOADS
 
     backend, error = _resolve_backend(args.backend)
     if error:
@@ -302,51 +303,18 @@ def cmd_trace(args) -> int:
     if tracing.active() is not None:
         return _fail("a trace session is already active")
 
-    profile = None
-    if args.workload == "ringflood":
-        # Replica profiling boots dozens of throwaway kernels; do it
-        # before installing the recorder so their clocks and allocator
-        # churn stay out of the victim's trace.
-        from repro.core.attacks.ringflood import profile_replica_boots
-        profile = profile_replica_boots(args.profile_boots,
-                                        seed=args.seed, nr_slots=48)
-
+    # a workload's set-up (ringflood's replica profiling boots dozens
+    # of throwaway kernels) runs before the recorder is installed, so
+    # its clocks and allocator churn stay out of the victim's trace
+    workload = NAMED_WORKLOADS[args.workload]
+    prepared = workload.prepare(args)
     claim_ok = True
     with tracing.session(capacity=args.capacity,
                          categories=categories) as recorder:
-        if args.workload == "ringflood":
-            from repro.core.attacks.ringflood import (make_attacker,
-                                                      run_ringflood)
-            victim = Kernel(seed=args.seed,
-                            iommu_mode=args.iommu_mode,
-                            iommu_backend=backend)
-            nic = victim.add_nic("eth0")
-            device = make_attacker(victim, "eth0")
-            report = run_ringflood(victim, nic, device, profile,
-                                   nr_slots=12)
-            print(f"ringflood: flooded {report.slots_flooded} slots, "
-                  f"hijacked {report.slots_hijacked}, "
-                  f"escalated={report.escalated}")
-            kernel = victim
-        elif args.workload == "compile-ping":
-            from repro.sim.workload import run_compile_and_ping
-            kernel = Kernel(seed=args.seed, phys_mb=256,
-                            iommu_mode=args.iommu_mode,
-                            iommu_backend=backend)
-            nic = kernel.add_nic("eth0")
-            stats = run_compile_and_ping(kernel, nic,
-                                         rounds=args.rounds)
-            print(f"compile-ping: {stats.allocations} allocations, "
-                  f"{stats.pings} pings")
-        else:  # storage
-            from repro.sim.workload import run_storage_workload
-            kernel = Kernel(seed=args.seed, phys_mb=256,
-                            iommu_mode=args.iommu_mode,
-                            iommu_backend=backend)
-            stats = run_storage_workload(kernel,
-                                         commands=args.commands)
-            print(f"storage: {stats.commands} commands, "
-                  f"{stats.bytes_transferred} bytes")
+        kernel = Kernel(seed=args.seed, phys_mb=workload.phys_mb,
+                        iommu_mode=args.iommu_mode,
+                        iommu_backend=backend)
+        print(workload.run(kernel, args, prepared))
 
         counters = _trace_counters(kernel, recorder)
         summary = tracing.summary_record(recorder, counters=counters)
@@ -385,6 +353,7 @@ def cmd_metrics(args) -> int:
     from repro.report import (render_dkasan_stats, render_iommu_stats,
                               render_meminfo, render_netdev)
     from repro.sim.kernel import Kernel
+    from repro.sim.workload import NAMED_WORKLOADS
 
     backend, error = _resolve_backend(args.backend)
     if error:
@@ -395,51 +364,16 @@ def cmd_metrics(args) -> int:
     if metrics.active() is not None:
         return _fail("a metrics session is already active")
 
-    profile = None
-    if args.workload == "ringflood":
-        # Replica profiling boots dozens of throwaway kernels; do it
-        # before installing the registry so the victim boot owns the
-        # kernel collector slot (same rule as the flight recorder).
-        from repro.core.attacks.ringflood import profile_replica_boots
-        profile = profile_replica_boots(args.profile_boots,
-                                        seed=args.seed, nr_slots=48)
-
+    # set-up runs before the registry is installed, so the victim
+    # boot owns the kernel collector slot (same rule as the recorder)
+    workload = NAMED_WORKLOADS[args.workload]
+    prepared = workload.prepare(args)
     with metrics.session() as registry:
-        if args.workload == "ringflood":
-            from repro.core.attacks.ringflood import (make_attacker,
-                                                      run_ringflood)
-            dkasan = DKasan(1024 << 20)
-            victim = Kernel(seed=args.seed, iommu_mode=args.iommu_mode,
-                            iommu_backend=backend, sink=dkasan)
-            nic = victim.add_nic("eth0")
-            device = make_attacker(victim, "eth0")
-            report = run_ringflood(victim, nic, device, profile,
-                                   nr_slots=12)
-            print(f"ringflood: flooded {report.slots_flooded} slots, "
-                  f"hijacked {report.slots_hijacked}, "
-                  f"escalated={report.escalated}")
-            kernel = victim
-        elif args.workload == "compile-ping":
-            from repro.sim.workload import run_compile_and_ping
-            dkasan = DKasan(256 << 20)
-            kernel = Kernel(seed=args.seed, phys_mb=256,
-                            iommu_mode=args.iommu_mode,
-                            iommu_backend=backend, sink=dkasan)
-            nic = kernel.add_nic("eth0")
-            stats = run_compile_and_ping(kernel, nic,
-                                         rounds=args.rounds)
-            print(f"compile-ping: {stats.allocations} allocations, "
-                  f"{stats.pings} pings")
-        else:  # storage
-            from repro.sim.workload import run_storage_workload
-            dkasan = DKasan(256 << 20)
-            kernel = Kernel(seed=args.seed, phys_mb=256,
-                            iommu_mode=args.iommu_mode,
-                            iommu_backend=backend, sink=dkasan)
-            stats = run_storage_workload(kernel,
-                                         commands=args.commands)
-            print(f"storage: {stats.commands} commands, "
-                  f"{stats.bytes_transferred} bytes")
+        dkasan = DKasan(workload.phys_mb << 20)
+        kernel = Kernel(seed=args.seed, phys_mb=workload.phys_mb,
+                        iommu_mode=args.iommu_mode,
+                        iommu_backend=backend, sink=dkasan)
+        print(workload.run(kernel, args, prepared))
 
         samples = registry.samples()
         present = registry.subsystems_present(collect=False)
@@ -1057,6 +991,7 @@ def cmd_backends(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.sim.workload import NAMED_WORKLOADS
 
     parser = argparse.ArgumentParser(
         prog="repro-dma",
@@ -1204,7 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a workload under the flight recorder")
     trace.add_argument("--workload",
-                       choices=("ringflood", "compile-ping", "storage"),
+                       choices=tuple(NAMED_WORKLOADS),
                        default="compile-ping")
     trace.add_argument("--seed", type=int, default=5)
     trace.add_argument("--iommu-mode", choices=("deferred", "strict"),
@@ -1439,8 +1374,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload under the metrics registry and export "
              "the aggregate counters")
     metrics.add_argument("--workload",
-                         choices=("ringflood", "compile-ping",
-                                  "storage"),
+                         choices=tuple(NAMED_WORKLOADS),
                          default="compile-ping")
     metrics.add_argument("--seed", type=int, default=5)
     metrics.add_argument("--iommu-mode",

@@ -15,7 +15,6 @@ event streams (:class:`repro.mem.accounting.MemEventSink`) and reports:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -48,9 +47,11 @@ class DKasanEvent:
         return f"size {self.size} [{perms}] {self.site}"
 
 
-@dataclass
+@dataclass(eq=False)
 class _LiveWindow:
-    window_id: int
+    """One live DMA mapping as D-KASAN sees it; compared by identity,
+    so an unmap removes exactly the window its map added."""
+
     paddr: int
     size: int
     perm: str
@@ -91,7 +92,6 @@ class DKasan(MemEventSink):
     def __init__(self, phys_bytes: int) -> None:
         self.shadow = ShadowMemory(phys_bytes)
         self.events: list[DKasanEvent] = []
-        self._ids = itertools.count(1)
         self._windows_by_pfn: dict[int, list[_LiveWindow]] = \
             defaultdict(list)
         self._objects_by_pfn: dict[int, list[_LiveObject]] = \
@@ -149,8 +149,7 @@ class DKasan(MemEventSink):
 
     def on_dma_map(self, paddr: int, size: int, perm: str,
                    device: str, site: AllocSite) -> None:
-        window = _LiveWindow(next(self._ids), paddr, size, perm,
-                             device, site)
+        window = _LiveWindow(paddr, size, perm, device, site)
         for page in window.pfns:
             existing = self._windows_by_pfn[page]
             if existing:
@@ -176,15 +175,14 @@ class DKasan(MemEventSink):
     def on_dma_unmap(self, paddr: int, size: int, device: str) -> None:
         first = paddr >> PAGE_SHIFT
         last = (paddr + size - 1) >> PAGE_SHIFT
-        victim_id = None
+        victim = None
         for page in range(first, last + 1):
             windows = self._windows_by_pfn[page]
             for window in windows:
-                if window.paddr == paddr and window.size == size \
-                        and window.device == device \
-                        and (victim_id is None
-                             or window.window_id == victim_id):
-                    victim_id = window.window_id
+                if window is victim or victim is None \
+                        and window.paddr == paddr and window.size == size \
+                        and window.device == device:
+                    victim = window
                     windows.remove(window)
                     break
 

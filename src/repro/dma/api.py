@@ -78,8 +78,7 @@ class DmaApi:
         self.registry.add(
             device=device, iova=iova, kva=kva, paddr=paddr, size=size,
             direction=direction, perm=perm, site=site,
-            mapped_at_us=self._clock.now_us, first_pfn=first_pfn,
-            nr_pages=nr_pages)
+            first_pfn=first_pfn, nr_pages=nr_pages)
         if "dma" in trace.active_categories:
             trace.emit("dma", "map", device=device, iova=iova, kva=kva,
                        size=size, perm=perm.value, direction=direction,

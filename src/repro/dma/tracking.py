@@ -8,7 +8,6 @@ device can read via DMA.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ class DmaMapping:
     direction: str
     perm: DmaPerm
     site: AllocSite
-    mapped_at_us: float
     first_pfn: int
     nr_pages: int
     active: bool = True
@@ -45,17 +43,17 @@ class MappingRegistry:
     """Indexes live mappings by IOVA and by PFN."""
 
     def __init__(self) -> None:
-        self._ids = itertools.count(1)
         self._by_key: dict[tuple[str, int], DmaMapping] = {}
         self._by_pfn: dict[int, list[DmaMapping]] = defaultdict(list)
-        self.history: list[DmaMapping] = []
-        # cumulative totals (history is bounded by nothing, but these
-        # stay correct even if callers ever prune it)
+        #: the last mapping id handed out (ids start at 1)
+        self.last_id = 0
+        # cumulative totals
         self.nr_added = 0
         self.nr_removed = 0
 
     def add(self, **kwargs) -> DmaMapping:
-        mapping = DmaMapping(mapping_id=next(self._ids), **kwargs)
+        self.last_id += 1
+        mapping = DmaMapping(mapping_id=self.last_id, **kwargs)
         key = (mapping.device, mapping.iova)
         if key in self._by_key:
             raise DmaApiError(
@@ -64,7 +62,6 @@ class MappingRegistry:
         self._by_key[key] = mapping
         for pfn in mapping.pfns:
             self._by_pfn[pfn].append(mapping)
-        self.history.append(mapping)
         self.nr_added += 1
         return mapping
 

@@ -11,12 +11,14 @@ keep DMA mappings churning over the same slab and page_frag pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro import faults
 from repro.errors import OutOfMemoryError
 from repro.mem.accounting import AllocSite
+from repro.mem.phys import PAGE_SIZE
 from repro.net.proto import PROTO_UDP, make_packet
 from repro.net.stack import ECHO_PORT
 
@@ -163,11 +165,22 @@ class ReplayStats:
     sub_page_maps: int = 0
     window_probes: int = 0
     windows_open: int = 0
-    window_sites: dict = None  # "path:line" -> window observed open
+    #: "path:line" -> window observed open
+    window_sites: dict = field(default_factory=dict)
+    memo_hits: int = 0  # sites whose recorded delta was applied
 
-    def __post_init__(self) -> None:
-        if self.window_sites is None:
-            self.window_sites = {}
+
+#: map plans, as (offset, length) windows of the site's page-sized
+#: object: the whole object, one sub-window, or two (``type_c``)
+_FULL_PAGE = ((0, PAGE_SIZE),)
+_SUB_PAGE = ((PAGE_SIZE // 4, PAGE_SIZE // 4),)
+_TYPE_C = (*_SUB_PAGE, (PAGE_SIZE // 2, PAGE_SIZE // 4))
+
+
+def _map_plan(site) -> tuple[tuple[int, int], ...]:
+    if not site.vulnerable or site.exposures == frozenset({"stack"}):
+        return _FULL_PAGE
+    return _TYPE_C if "type_c" in site.exposures else _SUB_PAGE
 
 
 def run_manifest_replay(kernel: "Kernel", manifest, *,
@@ -196,7 +209,9 @@ def run_manifest_replay(kernel: "Kernel", manifest, *,
       the DMA API makes safe at page granularity.
 
     Objects are unmapped and freed site-by-site, keeping replays
-    independent of ordering and of physical page reuse.
+    independent of ordering and of physical page reuse -- which is what
+    lets :mod:`repro.sim.replay_memo` replay most sites from a delta
+    recorded on an earlier one.
 
     With ``probe_windows`` the replay additionally measures each
     site's post-unmap vulnerability window (Fig 6, per call site): the
@@ -211,51 +226,47 @@ def run_manifest_replay(kernel: "Kernel", manifest, *,
     window maps -- the cross-backend disagreement signal.
     """
     from repro.errors import IommuFault
-    from repro.mem.phys import PAGE_SIZE
+    from repro.sim import replay_memo
 
     kernel.iommu.attach_device(device_name)
+    memo = replay_memo.memo_for(kernel, device_name, probe_windows)
     stats = ReplayStats()
     for site in manifest.sites:
         if max_sites is not None and stats.sites_replayed >= max_sites:
             break
         alloc_site = AllocSite(f"{site.path}:{site.line}")
-        kva = kernel.slab.kmalloc(PAGE_SIZE, cpu=cpu, site=alloc_site)
-        windows: list[tuple[int, int]] = []
-        dynamic_visible = site.vulnerable \
-            and site.exposures != frozenset({"stack"})
-        if dynamic_visible:
-            windows.append((kva + PAGE_SIZE // 4, PAGE_SIZE // 4))
-            stats.sub_page_maps += 1
-            if "type_c" in site.exposures:
-                windows.append((kva + PAGE_SIZE // 2, PAGE_SIZE // 4))
-        else:
-            windows.append((kva, PAGE_SIZE))
-        iovas = []
-        for map_kva, map_len in windows:
-            iovas.append((kernel.dma.dma_map_single(
-                device_name, map_kva, map_len, "DMA_FROM_DEVICE",
-                site=alloc_site), map_len))
-            stats.maps += 1
-        if probe_windows:
-            # Warm the IOTLB: translations are cached on use, not at
-            # map time, and a stale window needs a cached entry.
-            try:
-                kernel.iommu.device_write(device_name, iovas[0][0],
-                                          b"\x00" * 8)
-            except IommuFault:
-                pass
-        for iova, map_len in iovas:
-            kernel.dma.dma_unmap_single(device_name, iova, map_len,
-                                        "DMA_FROM_DEVICE")
-        if probe_windows:
-            kernel.advance_time_us(probe_delay_us)
-            open_ = kernel.iommu.device_can_access(
-                device_name, iovas[0][0], write=True)
-            stats.window_probes += 1
-            stats.windows_open += open_
-            stats.window_sites[f"{site.path}:{site.line}"] = open_
-        kernel.slab.kfree(kva)
+        plan = _map_plan(site)
         stats.sites_replayed += 1
+        stats.maps += len(plan)
+        stats.sub_page_maps += plan is not _FULL_PAGE
+        if memo is not None and memo.replay(plan, alloc_site):
+            stats.memo_hits += 1
+            continue
+        with memo.recording(plan, alloc_site) if memo is not None \
+                else nullcontext():
+            kva = kernel.slab.kmalloc(PAGE_SIZE, cpu=cpu, site=alloc_site)
+            iovas = [(kernel.dma.dma_map_single(
+                device_name, kva + offset, map_len, "DMA_FROM_DEVICE",
+                site=alloc_site), map_len) for offset, map_len in plan]
+            if probe_windows:
+                # Warm the IOTLB: translations are cached on use, not
+                # at map time, and a stale window needs a cached entry.
+                try:
+                    kernel.iommu.device_write(device_name, iovas[0][0],
+                                              b"\x00" * 8)
+                except IommuFault:
+                    pass
+            for iova, map_len in iovas:
+                kernel.dma.dma_unmap_single(device_name, iova, map_len,
+                                            "DMA_FROM_DEVICE")
+            if probe_windows:
+                kernel.advance_time_us(probe_delay_us)
+                open_ = kernel.iommu.device_can_access(
+                    device_name, iovas[0][0], write=True)
+                stats.window_probes += 1
+                stats.windows_open += open_
+                stats.window_sites[alloc_site.function] = open_
+            kernel.slab.kfree(kva)
     return stats
 
 
@@ -348,3 +359,51 @@ def run_storage_workload(kernel: "Kernel", *, device_name: str = "nvme0",
         kernel.slab.kfree(cmd)
         kernel.slab.kfree(dkva)
     return stats
+
+
+@dataclass(frozen=True)
+class NamedWorkload:
+    """One ``--workload`` of ``repro-dma trace`` and ``metrics``:
+    ``prepare(options)`` runs before the command's recorder or registry
+    is installed, ``run(kernel, options, prepared)`` drives the booted
+    kernel and returns its progress line."""
+
+    phys_mb: int
+    run: Callable
+    prepare: Callable = lambda options: None
+
+
+def _profile_ringflood(options):
+    from repro.core.attacks.ringflood import profile_replica_boots
+    return profile_replica_boots(options.profile_boots, seed=options.seed,
+                                 nr_slots=48)
+
+
+def _run_ringflood(kernel: "Kernel", options, profile) -> str:
+    from repro.core.attacks.ringflood import make_attacker, run_ringflood
+    nic = kernel.add_nic("eth0")
+    device = make_attacker(kernel, "eth0")
+    report = run_ringflood(kernel, nic, device, profile, nr_slots=12)
+    return (f"ringflood: flooded {report.slots_flooded} slots, "
+            f"hijacked {report.slots_hijacked}, "
+            f"escalated={report.escalated}")
+
+
+def _run_compile_ping(kernel: "Kernel", options, _prepared) -> str:
+    stats = run_compile_and_ping(kernel, kernel.add_nic("eth0"),
+                                 rounds=options.rounds)
+    return (f"compile-ping: {stats.allocations} allocations, "
+            f"{stats.pings} pings")
+
+
+def _run_storage(kernel: "Kernel", options, _prepared) -> str:
+    stats = run_storage_workload(kernel, commands=options.commands)
+    return (f"storage: {stats.commands} commands, "
+            f"{stats.bytes_transferred} bytes")
+
+
+NAMED_WORKLOADS: dict[str, NamedWorkload] = {
+    "ringflood": NamedWorkload(1024, _run_ringflood, _profile_ringflood),
+    "compile-ping": NamedWorkload(256, _run_compile_ping),
+    "storage": NamedWorkload(256, _run_storage),
+}

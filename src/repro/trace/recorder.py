@@ -169,6 +169,10 @@ class TraceRecorder:
         """
         self._observers.append(fn)
 
+    def remove_observer(self, fn) -> None:
+        """Stop streaming events into *fn*."""
+        self._observers.remove(fn)
+
     # -- events -------------------------------------------------------------
 
     def emit(self, category: str, name: str, *, phase: str = "i",
