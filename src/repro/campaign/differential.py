@@ -20,13 +20,12 @@ meaningful; the cross-backend disagreement records land in
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro import backends as backend_registry
-from repro import metrics
+from repro import durability, metrics
 from repro.campaign.results import (CampaignSummary, findings_digest,
                                     load_records)
 from repro.campaign.runner import CampaignConfig, run_campaign
@@ -184,12 +183,10 @@ def run_multi_backend_campaign(
 
     cross = cross_backend_disagreements(records_by_backend)
     cross_output = cross_results_path(config.output)
-    parent = os.path.dirname(cross_output)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(cross_output, "w", encoding="utf-8") as handle:
-        for record in cross:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    durability.atomic_write_text(
+        cross_output,
+        "".join(durability.canonical_json(record) + "\n"
+                for record in cross))
     for record in cross:
         metrics.count("campaign", "backend_disagreements",
                       kind=record["kind"])

@@ -354,8 +354,7 @@ def merge_shards(config: CampaignConfig, *,
             print(missing_seeds_message(missing), file=sys.stderr)
     durability.atomic_write_text(
         config.output,
-        "".join(json.dumps(durability.seal_record(merged[seed]),
-                           sort_keys=True) + "\n"
+        "".join(durability.record_line(merged[seed])
                 for seed in sorted(merged)))
     in_range = {seed: record for seed, record in merged.items()
                 if seed in config.seeds}

@@ -885,8 +885,8 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_crashtest(args) -> int:
-    from repro.durability.crashtest import (CRASH_SITES,
-                                            CrashtestConfig,
+    from repro.durability import CRASH_SITES
+    from repro.durability.crashtest import (CrashtestConfig,
                                             format_crashtest_report,
                                             run_crashtest)
 
@@ -1006,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
                "process-wide\n"
                "  REPRO_FAULTS=PLAN      arm the fault plan at "
                "PLAN.json (chaos/campaign); 'off' disables\n"
-               "  REPRO_DURABILITY=MODE  off|atomic|fsync: how every "
+               "  REPRO_DURABILITY=MODE  atomic|fsync: how every "
                "artifact is written (default atomic)")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")

@@ -2,53 +2,44 @@
 
 Every artifact this reproduction values -- campaign results JSONL, the
 per-backend CoverageMap, the mmap'd corpus snapshot, shard claims,
-heartbeats, perfcache entries, BENCH reports and history -- used to be
-written by nine modules each hand-rolling its own ``tempfile`` +
-``os.replace`` recipe, with no fsync discipline, no tmp-file cleanup,
-and no proof that recovery works. This package centralizes all of it:
+heartbeats, perfcache entries, BENCH reports and history -- goes to
+disk through this package, one way per job:
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` /
 :func:`atomic_write_json`
-    write-to-tmp + ``os.replace`` with a configurable durability mode
-    (``REPRO_DURABILITY=off|atomic|fsync``): ``off`` writes the target
-    in place (fast, torn-write-prone -- for benchmarks only),
-    ``atomic`` (the default) guarantees readers never observe a torn
-    file, ``fsync`` additionally fsyncs the tmp file *and* its parent
-    directory so the rename survives power loss, the full
+    write-to-tmp + ``os.replace`` under the durability mode
+    (``REPRO_DURABILITY=atomic|fsync``): ``atomic`` (the default)
+    guarantees readers never observe a torn file, ``fsync``
+    additionally fsyncs the tmp file *and* its parent directory so the
+    rename survives power loss, the full
     write-fsync-rename-fsync-dir discipline journaling filesystems
     expect.
 
-:class:`JournaledAppender`
-    append-only JSONL streams with a newline guard (a torn tail never
-    swallows the next record), an optional per-line CRC32 checksum
-    (``"_crc"``, stripped on replay -- findings digests never see it),
-    and torn-tail healing on :meth:`~JournaledAppender.replay` that
-    generalizes what ``trace.export.load_jsonl`` and the campaign
-    resume path each did separately.
+:func:`record_line` / :func:`append_jsonl` / :func:`replay_jsonl`
+    append-only JSONL streams. A record is serialized once, as
+    :func:`canonical_json` with its CRC32 spliced in as the first key
+    (``"_crc"``, stripped on replay -- findings digests never see
+    it). The append has a newline guard (a torn tail never swallows
+    the next record), and replay heals a torn tail and skips lines
+    that fail their checksum.
 
 :func:`collect_stale_tmp`
     garbage-collects ``.durability-*.tmp`` residue a killed writer
-    left behind (every atomic write and crash simulation funnels
-    through the same naming scheme, so GC can never eat a foreign
-    file).
+    left behind (every atomic write funnels through the same naming
+    scheme, so GC can never eat a foreign file).
 
 **Crash points.** Every write advances deterministic per-site
-counters at the ``durability.*`` fault sites (``post_write``,
-``pre_replace``, ``post_replace``, ``mid_append``, ``post_append``).
-Two arming mechanisms share those counters:
-
-* a normal :mod:`repro.faults` plan whose rule names a durability
-  site -- ``action="raise"`` throws
-  :class:`~repro.faults.InjectedDurabilityCrash` (an OSError, so
-  existing I/O recovery absorbs it), ``action="kill"`` hard-exits;
-* ``REPRO_CRASH=<site>@<N>`` hard-kills the process (``os._exit``,
-  exit status 137 -- indistinguishable from SIGKILL to the parent) at
-  the N-th poke of *site*, which is how the ``repro-dma crashtest``
-  harness (:mod:`repro.durability.crashtest`) murders a campaign
-  subprocess at every reachable write and proves ``--resume``
-  recovers byte-identically. ``REPRO_CRASH_CENSUS=<path>`` makes an
-  un-killed run write its per-site poke counts at exit, which is how
-  the harness enumerates the reachable crash points first.
+counters at the :data:`CRASH_SITES` (``post_write``, ``pre_replace``,
+``post_replace``, ``mid_append``, ``post_append``), and one mechanism
+arms them: ``REPRO_CRASH=<site>@<N>`` hard-kills the process
+(``os._exit``, exit status 137 -- indistinguishable from SIGKILL to
+the parent) at the N-th poke of *site*. That is how the ``repro-dma
+crashtest`` harness (:mod:`repro.durability.crashtest`) murders a
+campaign subprocess at every reachable write and proves ``--resume``
+recovers byte-identically. ``REPRO_CRASH_CENSUS=<path>`` makes an
+un-killed run write its per-site poke counts at exit, which is how
+the harness enumerates the reachable crash points first. Fault plans
+(:mod:`repro.faults`) cannot name these sites.
 
 ``mid_append`` is special: when armed, the appender writes *half* the
 encoded line, flushes, and only then pokes -- a firing leaves a
@@ -72,18 +63,16 @@ import time
 import warnings
 import zlib
 
-from repro import faults
-
 __all__ = [
-    "DEFAULT_MODE", "DEFAULT_TMP_MAX_AGE_S", "MODES", "TMP_PREFIX",
-    "TMP_SUFFIX", "JournaledAppender", "append_jsonl",
-    "atomic_write_bytes", "atomic_write_json", "atomic_write_text",
-    "canonical_json", "collect_stale_tmp", "crash_counts",
-    "disarm_crash_points", "mode", "parse_crash_env", "replay_jsonl",
-    "seal_record", "truncate_file", "validate_record",
+    "CRASH_SITES", "DEFAULT_MODE", "DEFAULT_TMP_MAX_AGE_S", "MODES",
+    "TMP_PREFIX", "TMP_SUFFIX", "append_jsonl", "atomic_write_bytes",
+    "atomic_write_json", "atomic_write_text", "canonical_json",
+    "collect_stale_tmp", "crash_counts", "disarm_crash_points", "mode",
+    "parse_crash_env", "record_line", "replay_jsonl", "truncate_file",
+    "validate_record",
 ]
 
-MODES = ("off", "atomic", "fsync")
+MODES = ("atomic", "fsync")
 
 DEFAULT_MODE = "atomic"
 
@@ -96,9 +85,14 @@ TMP_SUFFIX = ".tmp"
 #: old)
 DEFAULT_TMP_MAX_AGE_S = 300.0
 
-#: the checksum key :class:`JournaledAppender` embeds per line;
-#: always stripped on replay, never visible to findings digests
+#: the checksum key :func:`record_line` embeds per line; always
+#: stripped on replay, never visible to findings digests
 CRC_KEY = "_crc"
+
+#: the crash points every write pokes, in write order
+CRASH_SITES = ("durability.post_write", "durability.pre_replace",
+               "durability.post_replace", "durability.mid_append",
+               "durability.post_append")
 
 #: ``os._exit`` status for a simulated power loss; 137 == 128+SIGKILL,
 #: what a real OOM-kill or ``kill -9`` reports
@@ -151,8 +145,7 @@ def parse_crash_env(value: str) -> tuple[str, int]:
     """Parse ``REPRO_CRASH``'s ``<site>@<N>`` form (N is 1-based)."""
     site, sep, nth = value.partition("@")
     site = site.strip()
-    if not sep or site not in faults.SITES \
-            or not site.startswith("durability."):
+    if not sep or site not in CRASH_SITES:
         raise ValueError(f"REPRO_CRASH={value!r}: expected "
                          f"<durability-site>@<N>")
     count = int(nth)
@@ -216,13 +209,11 @@ def _reset_crash_state_for_tests() -> None:
 def _armed(site: str) -> bool:
     """Cheap pre-check: could poking *site* possibly fire?"""
     armed = _load_crash_env()
-    if armed is not None and armed[0] == site:
-        return True
-    return site in faults.active_sites
+    return armed is not None and armed[0] == site
 
 
 def _poke(site: str) -> None:
-    """Advance *site*'s counter; kill or raise when a crash is armed.
+    """Advance *site*'s counter; kill when ``REPRO_CRASH`` arms it.
 
     The counter advances unconditionally, so an unarmed (census) run
     and an armed (kill) run see identical numbering -- that is what
@@ -231,14 +222,8 @@ def _poke(site: str) -> None:
     count = _crash_counts.get(site, 0) + 1
     _crash_counts[site] = count
     armed = _load_crash_env()
-    if armed is not None and armed[0] == site and armed[1] == count:
+    if armed == (site, count):
         os._exit(CRASH_EXIT_STATUS)
-    if site in faults.active_sites:
-        firing = faults.fires(site)
-        if firing is not None:
-            if firing.action == "kill":
-                os._exit(CRASH_EXIT_STATUS)
-            raise faults.InjectedDurabilityCrash(site)
 
 
 # -- atomic writes ------------------------------------------------------------
@@ -256,22 +241,16 @@ def _fsync_dir(directory: str) -> None:
 def atomic_write_bytes(path: str, data: bytes) -> str:
     """Write *data* to *path* under the active durability mode.
 
-    ``atomic``/``fsync`` go through a same-directory tmp file and
+    The write goes through a same-directory tmp file and
     ``os.replace``; a crash at any point leaves either the old
     complete file or the new complete file, never a torn one (plus,
-    at worst, one ``.durability-*.tmp`` for GC). ``fsync`` also syncs
-    the file and its parent directory. ``off`` writes in place.
+    at worst, one ``.durability-*.tmp`` for GC). ``fsync`` mode also
+    syncs the file and its parent directory.
     """
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     active = mode()
-    if active == "off":
-        with open(path, "wb") as handle:
-            handle.write(data)
-        _poke("durability.post_write")
-        _count("writes")
-        return path
     fd, tmp = tempfile.mkstemp(dir=parent or ".", prefix=TMP_PREFIX,
                                suffix=TMP_SUFFIX)
     try:
@@ -288,10 +267,6 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
         _poke("durability.post_replace")
         if active == "fsync":
             _fsync_dir(parent)
-    except faults.InjectedDurabilityCrash:
-        # a simulated crash leaves its residue (the tmp file), exactly
-        # like the power loss it stands in for; GC collects it later
-        raise
     except BaseException:
         try:
             os.unlink(tmp)
@@ -333,13 +308,22 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def seal_record(record: dict) -> dict:
-    """A copy of *record* carrying its CRC32 under :data:`CRC_KEY`."""
-    payload = {key: value for key, value in record.items()
-               if key != CRC_KEY}
-    crc = zlib.crc32(canonical_json(payload).encode("utf-8"))
-    payload[CRC_KEY] = f"{crc & 0xffffffff:08x}"
-    return payload
+def record_line(record: dict) -> str:
+    """*record* as one sealed JSONL line, serialized once.
+
+    The line is :func:`canonical_json` of the record without
+    :data:`CRC_KEY`, with that string's CRC32 spliced in as the first
+    key. :func:`validate_record` re-canonicalizes what it parses, so
+    the key's position does not matter to the check.
+    """
+    if CRC_KEY in record:
+        record = {key: value for key, value in record.items()
+                  if key != CRC_KEY}
+    canonical = canonical_json(record)
+    crc = f"{zlib.crc32(canonical.encode('utf-8')):08x}"
+    if canonical == "{}":
+        return f'{{"{CRC_KEY}":"{crc}"}}\n'
+    return f'{{"{CRC_KEY}":"{crc}",{canonical[1:]}\n'
 
 
 def validate_record(record: dict) -> dict | None:
@@ -363,8 +347,8 @@ def validate_record(record: dict) -> dict | None:
     return payload
 
 
-def append_jsonl(path: str, record: dict, *, checksum: bool = True) -> None:
-    """Append one record as a JSONL line, crash-consistently.
+def append_jsonl(path: str, record: dict) -> None:
+    """Append one record as a :func:`record_line`, crash-consistently.
 
     The newline guard first repairs a torn tail left by a previous
     crash (gluing onto it would destroy this record too); the line
@@ -374,10 +358,7 @@ def append_jsonl(path: str, record: dict, *, checksum: bool = True) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    payload = seal_record(record) if checksum \
-        else {key: value for key, value in record.items()
-              if key != CRC_KEY}
-    line = json.dumps(payload, sort_keys=True) + "\n"
+    line = record_line(record)
     needs_newline = False
     try:
         if os.path.getsize(path):
@@ -455,23 +436,6 @@ def replay_jsonl(path: str, *, on_bad_line=None,
                 rows.append((index + 1, record))
         offset += len(raw.encode("utf-8"))
     return rows
-
-
-class JournaledAppender:
-    """A checksummed append-only JSONL stream bound to one path."""
-
-    def __init__(self, path: str, *, checksum: bool = True) -> None:
-        self.path = path
-        self.checksum = checksum
-
-    def append(self, record: dict) -> None:
-        append_jsonl(self.path, record, checksum=self.checksum)
-
-    def replay(self, *, on_bad_line=None,
-               warn: bool = False) -> list[dict]:
-        return [record for _lineno, record
-                in replay_jsonl(self.path, on_bad_line=on_bad_line,
-                                warn=warn)]
 
 
 # -- residue management -------------------------------------------------------

@@ -51,12 +51,6 @@ from repro.campaign.results import (completed_seeds, findings_digest,
 from repro.coverage import CoverageMap, coverage_map_path
 from repro.errors import CampaignError
 
-#: crash sites the harness enumerates (census order is sorted anyway)
-CRASH_SITES = ("durability.post_write", "durability.pre_replace",
-               "durability.post_replace", "durability.mid_append",
-               "durability.post_append")
-
-
 @dataclass
 class CrashtestConfig:
     """One crashtest invocation's knobs (kept tiny by default: the
@@ -387,7 +381,7 @@ def run_crashtest(config: CrashtestConfig, scratch: str | None = None,
             return report
         report.census = {site: count for site, count
                          in sorted(census.items())
-                         if site.startswith("durability.")}
+                         if site in durability.CRASH_SITES}
         if not report.census:
             report.error = "census empty: no durability crash point " \
                            "was poked -- writers are not routed"

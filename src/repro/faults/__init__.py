@@ -45,8 +45,7 @@ from repro.faults.spec import (KERNEL_SITES, SITES, TOOLING_SITES,
 __all__ = [
     "KERNEL_SITES", "SITES", "TOOLING_SITES",
     "FaultPlan", "FaultSpec", "Firing", "SiteRule",
-    "InjectedCacheError", "InjectedDmaMapError",
-    "InjectedDurabilityCrash", "InjectedFault",
+    "InjectedCacheError", "InjectedDmaMapError", "InjectedFault",
     "InjectedOutOfMemory", "InjectedWorkerCrash",
     "active", "active_sites", "fired_counts", "fires", "install",
     "reset_fired_counts", "session", "spec_from_env", "standard_spec",
@@ -76,18 +75,6 @@ class InjectedCacheError(InjectedFault, OSError):
 
 class InjectedWorkerCrash(InjectedFault, CampaignError):
     """A campaign worker crashed mid-seed on command."""
-
-
-class InjectedDurabilityCrash(InjectedFault, OSError):
-    """A persistence-layer write died at a crash point on command.
-
-    An ``OSError`` on purpose: every writer already treats disk I/O
-    errors as survivable (heartbeats swallow them, perfcache degrades,
-    campaign appends surface as seed failures), so the raise-mode
-    crash point exercises exactly those recovery paths. Kill-mode
-    (``action="kill"`` / ``REPRO_CRASH``) skips raising entirely and
-    hard-exits, leaving whatever residue a power loss would.
-    """
 
 
 _active: FaultPlan | None = None

@@ -46,17 +46,21 @@ TOOLING_SITES = (
     "perfcache.corrupt",       # bit-flipped entry (fails validation)
     "campaign.worker.crash",   # injected exception inside run_seed
     "campaign.worker.hang",    # injected sleep (arg = seconds)
-    "durability.post_write",   # tmp file fully written, not yet durable
-    "durability.pre_replace",  # right before the atomic os.replace
-    "durability.post_replace",  # replaced, parent dir not yet synced
-    "durability.mid_append",   # half an appended JSONL line on disk
-    "durability.post_append",  # appended line complete, not yet synced
 )
 
 SITES = KERNEL_SITES + TOOLING_SITES
 
 #: site prefixes that identify tooling-layer rules (see split())
-_TOOLING_PREFIXES = ("perfcache.", "campaign.", "durability.")
+_TOOLING_PREFIXES = ("perfcache.", "campaign.")
+
+
+def _check_site(site) -> None:
+    if isinstance(site, str) and site.startswith("durability."):
+        raise FaultError(f"{site} is a crash point, not a fault site: "
+                         f"arm it with REPRO_CRASH={site}@<N>")
+    if site not in SITES:
+        raise FaultError(f"unknown fault site {site!r} "
+                         f"(valid: {', '.join(SITES)})")
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,9 @@ class SiteRule:
     on_attempt: int | None = None
     #: site-specific knob (eviction fraction, keep fraction, sleep s)
     arg: float | None = None
-    #: how a durability crash point fires: ``"raise"`` (default) throws
-    #: an :class:`~repro.faults.InjectedDurabilityCrash`; ``"kill"``
-    #: hard-exits the process (``os._exit``), the power-loss simulation
-    action: str | None = None
 
     def __post_init__(self) -> None:
-        if self.site not in SITES:
-            raise FaultError(f"unknown fault site {self.site!r} "
-                             f"(valid: {', '.join(SITES)})")
+        _check_site(self.site)
         triggers = [t for t in (self.probability, self.every_nth,
                                 self.at_steps) if t is not None]
         if len(triggers) != 1:
@@ -103,15 +101,11 @@ class SiteRule:
         if self.max_fires is not None and self.max_fires <= 0:
             raise FaultError(f"bad max_fires {self.max_fires} "
                              f"for {self.site}")
-        if self.action is not None and self.action not in ("raise",
-                                                           "kill"):
-            raise FaultError(f"bad action {self.action!r} for "
-                             f"{self.site} (expected raise or kill)")
 
     def to_json(self) -> dict:
         doc: dict = {"site": self.site}
         for key in ("probability", "every_nth", "max_fires",
-                    "on_attempt", "arg", "action"):
+                    "on_attempt", "arg"):
             value = getattr(self, key)
             if value is not None:
                 doc[key] = value
@@ -123,8 +117,9 @@ class SiteRule:
     def from_json(cls, doc: dict) -> "SiteRule":
         if not isinstance(doc, dict) or "site" not in doc:
             raise FaultError(f"bad fault rule {doc!r}")
+        _check_site(doc["site"])
         known = {"site", "probability", "every_nth", "at_steps",
-                 "max_fires", "on_attempt", "arg", "action"}
+                 "max_fires", "on_attempt", "arg"}
         unknown = set(doc) - known
         if unknown:
             raise FaultError(f"unknown rule field(s) "
@@ -144,7 +139,6 @@ class Firing:
     step: int      # 0-based call index at the site when it fired
     nth: int       # 1-based count of fires at this site so far
     arg: float | None = None
-    action: str | None = None   # "kill" hard-exits instead of raising
 
 
 class FaultSpec:
@@ -247,8 +241,7 @@ class FaultPlan:
         if not fire:
             return None
         self._fired[site] += 1
-        firing = Firing(site, step, self._fired[site], rule.arg,
-                        rule.action)
+        firing = Firing(site, step, self._fired[site], rule.arg)
         self.firings.append(firing)
         return firing
 

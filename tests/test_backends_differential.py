@@ -138,6 +138,28 @@ def test_multi_backend_campaign_end_to_end(tmp_path):
     assert os.path.basename(multi.cross_output) == "run.cross.jsonl"
 
 
+def test_cross_records_are_written_atomically(tmp_path, monkeypatch):
+    from repro import durability
+    output = str(tmp_path / "run.jsonl")
+    pokes = {}
+    real_write = durability.atomic_write_text
+
+    def counting_write(path, text):
+        before = durability.crash_counts().get("durability.pre_replace", 0)
+        real_write(path, text)
+        pokes[path] = (durability.crash_counts()["durability.pre_replace"]
+                       - before)
+
+    monkeypatch.setattr(durability, "atomic_write_text", counting_write)
+    multi = run_multi_backend_campaign(
+        CampaignConfig(nr_seeds=1, seed_base=1, mutations_per_seed=1,
+                       scale=0.05, output=output, trace_events=0),
+        ["intel-vtd", "arm-smmuv3"])
+    assert pokes[multi.cross_output] == 1
+    with open(multi.cross_output, encoding="utf-8") as handle:
+        assert [json.loads(line) for line in handle] == multi.cross
+
+
 # -- BENCH history lanes ----------------------------------------------------
 
 def bench_report(**extra) -> dict:

@@ -22,13 +22,15 @@ import warnings
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import durability, faults
+from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign import snapshot as snapshot_store
+from repro.campaign.results import findings_digest, load_records
 from repro.coverage import CoverageMap
-from repro.errors import CampaignError
+from repro.errors import CampaignError, FaultError
 from repro.faults import FaultSpec, SiteRule
 
 SCALE = 0.05
@@ -61,9 +63,10 @@ def test_mode_defaults_and_validates(monkeypatch):
     assert durability.mode() == "atomic"
     monkeypatch.setenv("REPRO_DURABILITY", "fsync")
     assert durability.mode() == "fsync"
-    monkeypatch.setenv("REPRO_DURABILITY", "journaled-ha")
-    with pytest.warns(RuntimeWarning, match="REPRO_DURABILITY"):
-        assert durability.mode() == "atomic"
+    for unknown in ("journaled-ha", "off"):
+        monkeypatch.setenv("REPRO_DURABILITY", unknown)
+        with pytest.warns(RuntimeWarning, match="REPRO_DURABILITY"):
+            assert durability.mode() == "atomic"
 
 
 def test_atomic_write_json_bytes_match_plain_dump(tmp_path):
@@ -78,19 +81,14 @@ def test_atomic_write_json_bytes_match_plain_dump(tmp_path):
                 if name.startswith(durability.TMP_PREFIX)]
 
 
-def test_atomic_mode_replaces_off_mode_rewrites_inplace(tmp_path,
-                                                        monkeypatch):
+def test_atomic_write_replaces_the_inode(tmp_path):
     path = str(tmp_path / "doc.json")
     durability.atomic_write_text(path, "one")
     first_inode = os.stat(path).st_ino
     durability.atomic_write_text(path, "two")
     assert os.stat(path).st_ino != first_inode  # fresh tmp replaced it
-    monkeypatch.setenv("REPRO_DURABILITY", "off")
-    inplace_inode = os.stat(path).st_ino
-    durability.atomic_write_text(path, "three")
-    assert os.stat(path).st_ino == inplace_inode
     with open(path, encoding="utf-8") as handle:
-        assert handle.read() == "three"
+        assert handle.read() == "two"
 
 
 def test_fsync_mode_syncs_file_and_parent_dir(tmp_path, monkeypatch):
@@ -156,22 +154,69 @@ json_values = st.recursive(
     max_leaves=8)
 
 
-@settings(max_examples=50, deadline=None)
+def _legacy_line(record: dict) -> str:
+    """A results line as v1.18.0 wrote it: the record sealed with its
+    CRC as a dict key, then serialized a second time with whitespace
+    and ``_crc`` in sorted position."""
+    payload = {key: value for key, value in record.items()
+               if key != "_crc"}
+    crc = zlib.crc32(durability.canonical_json(payload).encode("utf-8"))
+    payload["_crc"] = f"{crc & 0xffffffff:08x}"
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
 @given(record=st.dictionaries(
-    st.text(min_size=1, max_size=8).filter(lambda k: k != "_crc"),
-    json_values, max_size=5))
-def test_seal_validate_roundtrip(record):
-    sealed = durability.seal_record(record)
-    assert durability.CRC_KEY in sealed
-    assert durability.validate_record(sealed) == record
-    # re-encoding through JSON (what the file does) must still verify
-    rewound = json.loads(json.dumps(sealed))
-    assert durability.validate_record(rewound) == json.loads(
-        json.dumps(record))
+    # "", "0", "A" and "Z" sort before "_crc"; "a" and "~" after it
+    st.sampled_from(["", "0", "A", "Z", "_", "_crc_", "a", "seed", "~"])
+    | st.text(max_size=8),
+    json_values, max_size=5),
+       stale_crc=st.none() | st.text(max_size=8))
+@example(record={}, stale_crc=None)
+@example(record={}, stale_crc="deadbeef")
+@example(record={"A": 1, "seed": 2}, stale_crc="00000000")
+def test_record_line_roundtrip(record, stale_crc):
+    if stale_crc is not None:
+        record = dict(record, _crc=stale_crc)
+    line = durability.record_line(record)
+    assert line.endswith("\n") and "\n" not in line[:-1]
+    payload = {key: value for key, value in record.items()
+               if key != "_crc"}
+    canonical = durability.canonical_json(payload)
+    crc = f"{zlib.crc32(canonical.encode('utf-8')):08x}"
+    assert line.startswith(f'{{"_crc":"{crc}"')
+    parsed = json.loads(line)
+    assert parsed["_crc"] == crc
+    assert durability.validate_record(parsed) == json.loads(canonical)
+    # the v1.18.0 encoding of the same record verifies to the same dict
+    assert durability.validate_record(json.loads(_legacy_line(record))) \
+        == json.loads(canonical)
+
+
+def test_append_writes_one_canonical_line_encoded_once(tmp_path,
+                                                        monkeypatch):
+    record = {"seed": 7, "status": "ok", "A": [1, {"z": None}]}
+    dumps = []
+    real_dumps = json.dumps
+    monkeypatch.setattr(json, "dumps",
+                        lambda *args, **kwargs: (dumps.append(args),
+                                                 real_dumps(*args,
+                                                            **kwargs))[1])
+    path = str(tmp_path / "log.jsonl")
+    durability.append_jsonl(path, record)
+    assert len(dumps) == 1
+    monkeypatch.setattr(json, "dumps", real_dumps)
+    canonical = durability.canonical_json(record)
+    crc = zlib.crc32(canonical.encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        line = handle.read()
+    assert line == f'{{"_crc":"{crc:08x}",' + canonical[1:] + "\n"
+    assert durability.replay_jsonl(path) == [(1, record)]
 
 
 def test_validate_rejects_bitflips_accepts_legacy():
-    sealed = durability.seal_record({"seed": 3, "status": "ok"})
+    sealed = json.loads(durability.record_line({"seed": 3,
+                                                "status": "ok"}))
     corrupt = dict(sealed)
     corrupt["status"] = "failed"          # flipped after sealing
     assert durability.validate_record(corrupt) is None
@@ -181,18 +226,41 @@ def test_validate_rejects_bitflips_accepts_legacy():
 
 def test_append_replay_roundtrip_and_newline_guard(tmp_path):
     path = str(tmp_path / "log.jsonl")
-    appender = durability.JournaledAppender(path)
-    appender.append({"n": 1})
-    appender.append({"n": 2})
+    durability.append_jsonl(path, {"n": 1})
+    durability.append_jsonl(path, {"n": 2})
     # a dead writer tore the tail mid-line
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"n": 3, "status"')
     # the guard starts a fresh line, so record 4 survives the residue
-    appender.append({"n": 4})
+    durability.append_jsonl(path, {"n": 4})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        replayed = appender.replay()
-    assert [record["n"] for record in replayed] == [1, 2, 4]
+        replayed = durability.replay_jsonl(path)
+    assert [record["n"] for _lineno, record in replayed] == [1, 2, 4]
+
+
+def test_resume_reads_legacy_and_new_lines_alike(tmp_path):
+    """A results file v1.18.0 started and this encoder continues:
+    both kinds of line verify, so resume re-runs only the seed that
+    is missing and the findings digest is the uninterrupted one."""
+    def config(name, **overrides):
+        return CampaignConfig(nr_seeds=3, seed_base=1, jobs=1,
+                              mutations_per_seed=2, scale=SCALE,
+                              trace_events=8, output=str(tmp_path / name), **overrides)
+
+    run_campaign(config("base.jsonl"))
+    base = load_records(str(tmp_path / "base.jsonl"))
+    mixed = str(tmp_path / "mixed.jsonl")
+    with open(mixed, "w", encoding="utf-8") as handle:
+        handle.write(_legacy_line(base[1]))
+        handle.write(durability.record_line(base[2]))
+    assert load_records(mixed) == {1: base[1], 2: base[2]}
+    resumed = []
+    summary = run_campaign(config("mixed.jsonl", resume=True),
+                           progress=resumed.append)
+    assert [record["seed"] for record in resumed] == [3]
+    assert summary.nr_ok == 3
+    assert findings_digest(load_records(mixed)) == findings_digest(base)
 
 
 def test_replay_heals_torn_tail_with_one_warning(tmp_path):
@@ -421,29 +489,15 @@ def test_parse_crash_env_validates():
             durability.parse_crash_env(bad)
 
 
-def test_fault_plan_raise_leaves_tmp_residue(tmp_path):
-    spec = FaultSpec([SiteRule("durability.pre_replace",
-                               at_steps=(0,))], seed=0)
-    path = str(tmp_path / "doc.json")
-    with faults.session(spec.compile()):
-        with pytest.raises(faults.InjectedDurabilityCrash):
-            durability.atomic_write_text(path, "never lands")
-    assert not os.path.exists(path)
-    residue = [name for name in os.listdir(tmp_path)
-               if name.startswith(durability.TMP_PREFIX)]
-    assert len(residue) == 1              # the simulated power loss
-    assert durability.collect_stale_tmp(str(tmp_path),
-                                        max_age_s=0.0)
-
-
-def test_rule_action_validates():
-    from repro.errors import FaultError
-    rule = SiteRule("durability.post_write", at_steps=(0,),
-                    action="kill")
-    assert SiteRule.from_json(rule.to_json()).action == "kill"
-    with pytest.raises(FaultError):
-        SiteRule("durability.post_write", at_steps=(0,),
-                 action="explode")
+@pytest.mark.parametrize("site", durability.CRASH_SITES)
+def test_fault_plans_cannot_arm_crash_points(site):
+    assert site not in faults.SITES
+    with pytest.raises(FaultError, match=f"REPRO_CRASH={site}@<N>"):
+        SiteRule(site, at_steps=(0,))
+    # a v1.18.0 plan file, ``action`` key and all
+    with pytest.raises(FaultError, match="REPRO_CRASH"):
+        FaultSpec.from_json({"rules": [{"site": site, "at_steps": [0],
+                                        "action": "kill"}]})
 
 
 _CRASH_SCRIPT = """

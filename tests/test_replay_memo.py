@@ -181,7 +181,7 @@ def test_an_armed_fault_plan_takes_the_full_path(mutator):
     manifest = mutator.derive(7).manifest
     unarmed = replay_observables(manifest)
     # a tooling site the replay never reaches: armed, never fires
-    plan = faults.FaultSpec([faults.SiteRule("durability.mid_append",
+    plan = faults.FaultSpec([faults.SiteRule("campaign.worker.hang",
                                              every_nth=1)]).compile()
     with faults.session(plan):
         armed = replay_observables(manifest)
