@@ -72,6 +72,36 @@ class PaholeDb:
         self._direct_memo: dict[str, list[tuple[str, int]]] = {}
         self._targets_memo: dict[str, set[str]] = {}
         self._spoof_memo: dict[str, tuple[int, list[str]]] = {}
+        self._reads_memo: dict[str, frozenset[str]] = {}
+
+    def reads(self, name: str) -> frozenset[str]:
+        """Every struct name a query on ``struct name`` looks up.
+
+        :meth:`has_struct`, :meth:`layout`, :meth:`direct_callbacks`
+        and :meth:`spoofable_callbacks` follow the struct-typed
+        non-callback fields, by value and through pointers, and test
+        each name against the definitions; this is the transitive
+        closure of that walk, misses included (a name with no
+        definition is a leaf). Memoized, so a query answered from one
+        of the other memos still reports the whole walk. An answer
+        stays valid while none of these names is redefined.
+        """
+        cached = self._reads_memo.get(name)
+        if cached is not None:
+            return cached
+        seen = {name}
+        stack = [name]
+        while stack:
+            struct_def = self._structs.get(stack.pop())
+            if struct_def is None:
+                continue
+            for f in struct_def.fields:
+                if not f.is_func_ptr and f.type is not None \
+                        and f.type.is_struct and f.type.base not in seen:
+                    seen.add(f.type.base)
+                    stack.append(f.type.base)
+        cached = self._reads_memo[name] = frozenset(seen)
+        return cached
 
     def has_struct(self, name: str) -> bool:
         return name in self._structs

@@ -18,7 +18,7 @@ of ``Spade(tree).analyze()`` outside a campaign seed (``audit``,
 ``cache verify``, the paper figures). A campaign seed analyzes a
 corpus derived for it alone, through a :class:`ReadThroughView`: it
 reads both tiers, keeps the parse trees of its mutated files in the
-memory tier only, and stores its findings nowhere. Over 400 warm
+memory tier only, and stores findings nowhere. Over 400 warm
 seeds, 158 mutated-file trees were read again 1,176 times (mutations
 recur), while none of the 400 per-seed findings entries was; keeping
 those findings grew a jobs=1 process from 54 to 125 MiB. So the disk
@@ -414,9 +414,14 @@ class ReadThroughView:
 
     Lookups read both tiers exactly as :meth:`PerfCache.cached` does
     (and go through it). A miss keeps a parse tree in the memory tier
-    only and any other entry -- the seed's whole-corpus findings --
-    nowhere, so a seed writes nothing to disk and ``stats.stores``
-    does not move; ``stats.misses`` still counts every computation.
+    only and any other entry nowhere, so a seed writes nothing to disk
+    and ``stats.stores`` does not move; ``stats.misses`` still counts
+    every computation. A seed of a warm campaign looks up only the
+    parse trees of the files its mutations changed: its SPADE run is a
+    delta of the base corpus's analysis, which no findings entry
+    holds. Only a seed analyzed in full (``run_seed`` without a warm
+    mutator) also looks up a whole-corpus findings entry, and keeps
+    it nowhere.
     """
 
     #: namespace -> where a computed miss is kept (absent: nowhere)
