@@ -22,7 +22,7 @@ from repro.sim.kernel import Kernel
 from repro.core.vulns import SubPageVulnerability, VulnType
 from repro.core.attributes import VulnerabilityAttributes
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "Kernel",

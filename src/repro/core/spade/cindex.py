@@ -13,6 +13,16 @@ its tree as a delta of the base corpus's index (``base=``): only the
 files its mutations rewrote are hashed and looked up in the cache,
 and only the definitions and callers lists those files touch are
 rebuilt; everything else is the base index's, shared by reference.
+
+A mutation rewrites one of a file's top-level declarations and leaves
+the others byte-identical, at most a line or two further down. So a
+delta index that misses the cache on a whole file parses it one
+declaration at a time (:func:`~repro.core.spade.cparse.split_declarations`):
+each piece is looked up in a memo the base index owns for the life of
+the process, keyed by path and piece text, and only unseen pieces are
+parsed. The merged result equals a whole-file parse; where a piece
+fails to parse, the whole file is parsed instead. Every parse, whole
+or piece, is a call of this module's ``parse_file``.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from dataclasses import dataclass
 
 from repro import metrics, perfcache
 from repro.core.spade.cparse import (PARSER_VERSION, CallSite, FunctionDef,
-                                     ParsedFile, StructDef, parse_file)
+                                     ParsedFile, StructDef, parse_file,
+                                     shift_lines, split_declarations)
 from repro.corpus.generate import SourceTree
 from repro.perfcache.codec import decode_parsed_file, encode_parsed_file
 
@@ -39,6 +50,48 @@ class CallerRecord:
 
 def _is_source(path: str) -> bool:
     return path.endswith(".c") or path.endswith(".h")
+
+
+#: a piece memo that reaches this many entries is emptied before the
+#: next piece goes in: a campaign's pieces are a bounded set, so only an
+#: unbounded stream of new texts gets there
+_MAX_PIECES = 8192
+
+
+def _parse_by_declaration(path: str, source: str,
+                          memo: dict[tuple[str, str], ParsedFile | None]
+                          ) -> ParsedFile:
+    """``parse_file(path, source)``, parsing only the pieces of *source*
+    *memo* has not seen; a piece that fails (memoized as None) makes
+    it parse the whole file."""
+    parts = []
+    for text in split_declarations(source):
+        key = (path, text)
+        if key in memo:
+            part = memo[key]
+        else:
+            if len(memo) >= _MAX_PIECES:
+                memo.clear()
+            try:
+                part = parse_file(path, text, piece=True)
+            except Exception:
+                # whatever a piece raises, the whole-file parse below
+                # decides the result and the error text
+                part = None
+            memo[key] = part
+        if part is None:
+            return parse_file(path, source)
+        parts.append((part, text))
+    merged = ParsedFile(path)
+    line = 0
+    for part, text in parts:
+        part = shift_lines(part, line)
+        # a later duplicate overwrites the value, keeping the first
+        # position, as in a whole-file parse
+        merged.structs.update(part.structs)
+        merged.functions.update(part.functions)
+        line += text.count("\n")
+    return merged
 
 
 def _defined_and_called(parsed: ParsedFile | None
@@ -68,7 +121,9 @@ class CodeIndex:
     derivation does for every file it left alone), so the changed set
     can be too wide, never too narrow. ``dirty`` then names what the
     delta may have changed for the analysis: the changed paths plus
-    every struct and callee name in their old or new text.
+    every struct and callee name in their old or new text. A changed
+    file that misses the cache is parsed by declaration, through the
+    piece memo of *base* (see the module docstring).
     """
 
     def __init__(self, tree: SourceTree, *,
@@ -88,6 +143,9 @@ class CodeIndex:
         # the text each path held, what a delta on this index compares
         # its tree's files against (a copy: the tree may change later)
         self._files = dict(tree.files)
+        #: (path, piece text) -> the piece parsed on its own, or None
+        #: where it failed: the memo deltas on this index parse through
+        self._pieces: dict[tuple[str, str], ParsedFile | None] = {}
         started = time.perf_counter()
         if base is None:
             self._index_all(tree, cache)
@@ -97,9 +155,11 @@ class CodeIndex:
                         time.perf_counter() - started)
         metrics.count("spade", "files_indexed", len(self.parsed))
 
-    def _parse(self, tree: SourceTree, path: str, cache) -> None:
+    def _parse(self, tree: SourceTree, path: str, cache,
+               pieces: dict | None = None) -> None:
         """Hash, look up (or parse) one file into ``parsed`` or
-        ``parse_errors``."""
+        ``parse_errors``; a miss parses by declaration through
+        *pieces*, if given."""
         content = tree.read(path)
         digest = perfcache.file_digest(content)
         self.file_hashes[path] = digest
@@ -108,7 +168,8 @@ class CodeIndex:
         try:
             self.parsed[path] = cache.cached(
                 "parse", key,
-                lambda: parse_file(path, content),
+                lambda: parse_file(path, content) if pieces is None
+                else _parse_by_declaration(path, content, pieces),
                 encode=encode_parsed_file, decode=decode_parsed_file)
         except Exception as exc:  # a real tool logs and moves on
             self.parse_errors[path] = str(exc)
@@ -139,7 +200,7 @@ class CodeIndex:
             if not _is_source(path):
                 continue
             if path in changed:
-                self._parse(tree, path, cache)
+                self._parse(tree, path, cache, base._pieces)
             elif path in base.parsed:
                 self.parsed[path] = base.parsed[path]
             else:

@@ -10,6 +10,7 @@ compiler front end.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.core.spade.ctokens import TokKind, Token, tokenize
@@ -347,8 +348,15 @@ def _record_assignment(lhs: str, rhs: list[Token], line: int,
     func.assignments.append(Assignment(lhs, _join(rhs), rhs_call, line))
 
 
-def parse_file(path: str, source: str) -> ParsedFile:
-    """Parse one C file into structs + functions."""
+def parse_file(path: str, source: str, *,
+               piece: bool = False) -> ParsedFile:
+    """Parse one C file into structs + functions.
+
+    With *piece*, *source* is one piece of a file as
+    :func:`split_declarations` cuts it, parsed on its own: a
+    ``typedef`` still open at its end raises :class:`AnalysisError`,
+    because in the whole file it would run on into the next piece.
+    """
     preproc = TokKind.PREPROC
     tokens = [t for t in tokenize(source) if t.kind is not preproc]
     parsed = ParsedFile(path)
@@ -360,6 +368,9 @@ def parse_file(path: str, source: str) -> ParsedFile:
         if tok.is_ident("typedef"):
             while i < n and not tokens[i].is_punct(";"):
                 i += 1
+            if piece and i == n:
+                raise AnalysisError(f"typedef at line {tok.line} runs "
+                                    f"off the end of the piece")
             i += 1
             continue
         # struct NAME { ... } ;  |  struct NAME ;
@@ -410,3 +421,57 @@ def _parse_params(tokens: list[Token]) -> list[VarDecl]:
             ref, name = parsed
             params.append(VarDecl(name, ref, part[0].line))
     return params
+
+
+#: a column-0 line that is exactly ``}`` or ``};``: where a top-level
+#: declaration of kernel-style C ends
+_DECLARATION_END = re.compile(r"^\};?\n", re.MULTILINE)
+
+
+def split_declarations(source: str) -> list[str]:
+    """*source* cut after every line :data:`_DECLARATION_END` matches.
+
+    The pieces join back into *source*. Parsing each with
+    ``parse_file(path, piece, piece=True)``, moving its line numbers
+    down by the lines before it (:func:`shift_lines`) and merging the
+    results in order equals ``parse_file(path, source)`` whenever
+    every piece parses: a comment, literal or brace pair that a cut
+    splits makes a piece fail, and so does a typedef left open.
+    """
+    pieces = []
+    start = 0
+    for match in _DECLARATION_END.finditer(source):
+        pieces.append(source[start:match.end()])
+        start = match.end()
+    if start < len(source):
+        pieces.append(source[start:])
+    return pieces
+
+
+def shift_lines(parsed: ParsedFile, lines: int) -> ParsedFile:
+    """A copy of *parsed* with every line number *lines* further down
+    (*parsed* itself when *lines* is 0)."""
+    if not lines:
+        return parsed
+
+    def decls(items: list[VarDecl]) -> list[VarDecl]:
+        return [VarDecl(d.name, d.type, d.line + lines) for d in items]
+
+    def call(site: CallSite | None) -> CallSite | None:
+        return None if site is None \
+            else CallSite(site.callee, site.args, site.line + lines)
+
+    out = ParsedFile(parsed.path)
+    for name, struct in parsed.structs.items():
+        out.structs[name] = StructDef(
+            struct.name,
+            [StructField(f.name, f.line + lines, f.type, f.is_func_ptr,
+                         f.func_ptr_count) for f in struct.fields],
+            struct.file, struct.line + lines)
+    for name, func in parsed.functions.items():
+        out.functions[name] = FunctionDef(
+            func.name, decls(func.params), decls(func.locals),
+            [Assignment(a.lhs, a.rhs_text, call(a.rhs_call),
+                        a.line + lines) for a in func.assignments],
+            [call(c) for c in func.calls], func.file, func.line + lines)
+    return out

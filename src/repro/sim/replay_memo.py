@@ -12,17 +12,28 @@ live mapping and object counts, and the IOTLB occupancy. A seed's ~100
 sites fall into a handful of (plan, fingerprint) pairs.
 
 The first site of a pair runs for real while :class:`ReplayMemo`
-records its delta: the trace events (with the site string and
-``trigger_seq`` made relative), the ``charge_cycles`` calls between
-them, the D-KASAN findings, the counter deltas, and the IOVA free
-lists it leaves. A later site of the same pair applies that delta with
-its own site string. Its events go through the recorder's
+records its delta: the trace events (with the site string,
+``trigger_seq`` and ``kva`` made relative), the ``charge_cycles``
+calls between them, the D-KASAN findings, the counter deltas, and the
+IOVA free lists it leaves. A later site of the same pair applies that
+delta with its own site string. Its events go through the recorder's
 ``emit_args``, so the ring, the sequence numbers and the coverage
 observer see what the full path would have shown them, and replaying
 the same charges keeps every float timestamp bit-identical. A site
 that touches what a delta cannot express (the buddy allocator, fresh
 IOVA space, a cached IOTLB entry, a mapping or object that outlives
 it) is never memoized.
+
+The deltas and the interned fingerprints outlive the replay: one
+module-level table per kernel shape (the device and its IOMMU domain,
+physical memory, CPU count, and which trace categories a recorder
+keeps, or none) serves every replay of the process, so a campaign's
+seeds re-record nothing an earlier seed recorded. A stored delta
+holds nothing of the kernel that recorded it: counters are slot
+indices, and a ``kva`` is an offset from the direct map's base, the
+one thing KASLR moves between seeds. IOVAs, pfns, charges and counter
+deltas are equal across same-shape kernels, and a fingerprint says
+the rest.
 
 The memo reads and writes allocator internals on purpose. That is why
 it lives beside the replay, and why a differential test holds it equal
@@ -61,6 +72,27 @@ def memo_for(kernel, device_name: str,
     return ReplayMemo(kernel, device_name)
 
 
+class _Table:
+    """Deltas and interned fingerprints of one kernel shape."""
+
+    __slots__ = ("deltas", "state_ids", "fingerprints")
+
+    def __init__(self) -> None:
+        #: (plan, state id) -> the delta recorded from that state
+        self.deltas: dict[tuple, _Delta] = {}
+        self.state_ids: dict[tuple, int] = {}
+        self.fingerprints: list[tuple] = []
+
+
+#: kernel shape -> its table, for the life of the process
+_TABLES: dict[tuple, _Table] = {}
+
+#: a table that has interned more states than this is started afresh
+#: by the next replay: a campaign visits a handful, so only an odd
+#: workload ever gets there
+_MAX_STATES = 4096
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class _Delta:
     """What one site did, with its site string taken out."""
@@ -74,8 +106,8 @@ class _Delta:
     #: D-KASAN findings as ``(kind, size, perms, site, pfn, device)``;
     #: *site* None stands for the replayed site
     findings: tuple
-    #: ``(vars(object), attribute, delta)`` for every counter that
-    #: moved
+    #: ``(slot, attribute, delta)`` for every counter that moved, where
+    #: *slot* indexes :attr:`ReplayMemo._counter_slots`
     counters: tuple
     #: the IOVA allocator's free lists after the site
     free: tuple
@@ -83,10 +115,11 @@ class _Delta:
     post: int
 
 
-def _template(event, site_str: str, start: int) -> tuple:
+def _template(event, site_str: str, start: int, kva_base: int) -> tuple:
     """A recorded trace event as a :attr:`_Delta.ops` entry; *start* is
-    the sequence number of the site's first event."""
-    args = event.args
+    the sequence number of the site's first event, *kva_base* the
+    recording kernel's direct-map base."""
+    args = dict(event.args)
     site_keys = tuple(key for key, value in args.items()
                       if value == site_str)
     list_keys = tuple(key for key, value in args.items()
@@ -96,23 +129,29 @@ def _template(event, site_str: str, start: int) -> tuple:
         # last_seq() is None only before the first event, i.e. at -1
         seq = args["trigger_seq"]
         trigger = (-1 if seq is None else seq) - start
-    stamps = (site_keys, list_keys, trigger) \
-        if site_keys or list_keys or trigger is not None else None
-    return event.category, event.name, event.phase, dict(args), stamps
+    relative_kva = "kva" in args
+    if relative_kva:
+        args["kva"] -= kva_base
+    stamps = (site_keys, list_keys, trigger, relative_kva) \
+        if site_keys or list_keys or trigger is not None or relative_kva \
+        else None
+    return event.category, event.name, event.phase, args, stamps
 
 
 class ReplayMemo:
-    """The memo for one :func:`run_manifest_replay` call (one seed,
-    one kernel); see the module docstring."""
+    """The memo for one :func:`run_manifest_replay` call, over the
+    table of its kernel's shape; see the module docstring."""
 
     def __init__(self, kernel, device_name: str) -> None:
         iommu = kernel.iommu
+        domain = iommu.domain_of(device_name)
         self._clock = kernel.clock
         self._dkasan = kernel.sink
-        self._recorder = trace.active()
+        self._recorder = recorder = trace.active()
+        self._kva_base = kernel.addr_space.kva_of_paddr(0)
         self._buddy = kernel.buddy
         self._cache = kernel.slab._caches[PAGE_SIZE]
-        self._iova = iommu.domain_of(device_name).iova_allocator
+        self._iova = domain.iova_allocator
         self._iotlb = iommu.iotlb
         self._slab = kernel.slab
         self._registry = kernel.dma.registry
@@ -124,9 +163,17 @@ class ReplayMemo:
               for stats in (iommu.stats, iommu.policy.stats,
                             iommu.iotlb.stats)
               for field in dataclasses.fields(stats)))
-        self._deltas: dict[tuple, _Delta] = {}
-        self._state_ids: dict[tuple, int] = {}
-        self._fingerprints: list[tuple] = []
+        self._counters = tuple(vars(obj) for obj, _ in self._counter_slots)
+        shape = (device_name, domain.domain_id, kernel.phys.size_bytes,
+                 kernel.nr_cpus,
+                 None if recorder is None
+                 else recorder.categories or frozenset(trace.CATEGORIES))
+        table = _TABLES.get(shape)
+        if table is None or len(table.fingerprints) > _MAX_STATES:
+            table = _TABLES[shape] = _Table()
+        self._deltas = table.deltas
+        self._state_ids = table.state_ids
+        self._fingerprints = table.fingerprints
         self._state = self._state_id()
 
     # -- state ----------------------------------------------------------
@@ -168,7 +215,7 @@ class ReplayMemo:
             category, name, phase, base, stamps = op
             args = base.copy()
             if stamps is not None:
-                site_keys, list_keys, trigger = stamps
+                site_keys, list_keys, trigger, relative_kva = stamps
                 for key in site_keys:
                     args[key] = site_str
                 for key in list_keys:
@@ -176,14 +223,17 @@ class ReplayMemo:
                 if trigger is not None:
                     seq = start + trigger
                     args["trigger_seq"] = seq if seq >= 0 else None
+                if relative_kva:
+                    args["kva"] += self._kva_base
             recorder.emit_args(category, name, phase, args)
         events = self._dkasan.events
         for kind, size, perms, where, pfn, device in delta.findings:
             events.append(DKasanEvent(kind, size, perms,
                                       site if where is None else where,
                                       pfn, device))
-        for fields, attr, change in delta.counters:
-            fields[attr] += change
+        counters = self._counters
+        for slot, attr, change in delta.counters:
+            counters[slot][attr] += change
         free = self._iova._free
         for pages, bases in delta.free:
             free[pages] = list(bases)
@@ -232,7 +282,8 @@ class ReplayMemo:
             return
         site_str = str(site)
         templates = tuple(op if op.__class__ is int
-                          else _template(op, site_str, start)
+                          else _template(op, site_str, start,
+                                         self._kva_base)
                           for op in ops)
         findings = tuple(
             (event.kind, event.size, event.perms,
@@ -240,8 +291,9 @@ class ReplayMemo:
              event.device)
             for event in self._dkasan.events[nr_findings:])
         deltas = tuple(
-            (vars(obj), attr, getattr(obj, attr) - before)
-            for (obj, attr), before in zip(self._counter_slots, counters)
+            (slot, attr, getattr(obj, attr) - before)
+            for slot, ((obj, attr), before)
+            in enumerate(zip(self._counter_slots, counters))
             if getattr(obj, attr) != before)
         self._deltas[(plan, pre)] = _Delta(
             templates, findings, deltas, post_print[0], self._state)

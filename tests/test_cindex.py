@@ -1,9 +1,15 @@
 """CodeIndex: symbol cross-references over a source tree."""
 
+from unittest import mock
+
 import pytest
 
-from repro.core.spade.cindex import CodeIndex
+from repro.campaign.mutate import CorpusMutator
+from repro.core.spade import cindex
+from repro.core.spade.cindex import CodeIndex, _parse_by_declaration
+from repro.core.spade.cparse import parse_file, split_declarations
 from repro.corpus.generate import SourceTree
+from repro.perfcache import PerfCache
 
 
 def make_tree():
@@ -212,3 +218,136 @@ def test_delta_index_finds_the_changed_files_itself():
     delta = CodeIndex(base_tree, base=base)
     assert delta.dirty >= {DRIVER_A, "s"}
     assert_same_index(delta, CodeIndex(base_tree))
+
+
+# -- parsing by declaration ----------------------------------------------------
+
+def parse_or_error(parse, path: str, source: str):
+    """(structs, functions) in order, or the error text."""
+    try:
+        parsed = parse(path, source)
+    except Exception as exc:
+        return str(exc)
+    return list(parsed.structs.items()), list(parsed.functions.items())
+
+
+def test_pieces_join_back_into_the_source():
+    source = "struct s {\n};\nint f(void)\n{\n}\n  }\n}x\n}"
+    pieces = split_declarations(source)
+    assert pieces == ["struct s {\n};\n", "int f(void)\n{\n}\n",
+                      "  }\n}x\n}"]
+    assert "".join(pieces) == source
+
+
+#: sources a naive per-declaration parse gets wrong, each with whether
+#: the memo must hold a failed piece for it
+RUN_OFFS = {
+    # whole: the typedef swallows f; a piece parse alone finds f
+    "typedef int\n}\nint f(void)\n{\n    g(1);\n}\n": True,
+    "int f(void)\n{\n/* a comment\n}\n*/\n    g(1);\n}\n": True,
+    'int f(void)\n{\n    g("text\n}\n");\n}\n': True,
+    "int f(void)\n{\n    if (x) {\n}\n    g(1);\n}\n": True,
+    "int f(void)\n{\n    g(1);\n}\n}\nint h(void)\n{\n}\n": False,
+}
+
+
+@pytest.mark.parametrize("source", sorted(RUN_OFFS))
+def test_per_declaration_parse_falls_back_where_a_cut_splits(source):
+    memo: dict = {}
+    assert parse_or_error(
+        lambda path, text: _parse_by_declaration(path, text, memo),
+        "a.c", source) == parse_or_error(parse_file, "a.c", source)
+    assert (None in memo.values()) is RUN_OFFS[source]
+
+
+def test_per_declaration_parse_equals_parse_file_on_campaign_seeds():
+    """Every base and mutated file of seeds 0-199, through one memo as a
+    campaign process uses it: lines shifted, pieces reused."""
+    mutator = CorpusMutator(2021, scale=0.1)
+    base_files = mutator.base_view()[0].files
+    memo: dict = {}
+    calls = []
+
+    def counted(path, text, **kwargs):
+        calls.append(kwargs)
+        return parse_file(path, text, **kwargs)
+
+    nr_files = 0
+    with mock.patch.object(cindex, "parse_file", counted):
+        for seed in range(200):
+            files = mutator.derive(seed).tree.files
+            for path, text in files.items():
+                if not path.endswith((".c", ".h")) \
+                        or seed and text is base_files[path]:
+                    continue
+                nr_files += 1
+                assert parse_or_error(
+                    lambda p, t: _parse_by_declaration(p, t, memo),
+                    path, text) == parse_or_error(parse_file, path, text)
+    assert calls and all(kwargs == {"piece": True} for kwargs in calls)
+    assert None not in memo.values()
+    # most pieces of the ~1,100 mutated files were parsed before
+    nr_base_pieces = sum(len(split_declarations(text))
+                         for path, text in base_files.items()
+                         if path.endswith((".c", ".h")))
+    assert nr_files > 1000
+    assert len(calls) < nr_base_pieces + 4 * (nr_files - len(base_files))
+
+
+#: C-ish fragments: declarations, duplicates, cuts inside comments and
+#: literals, typedefs left open, stray and unbalanced braces
+FRAGMENTS = (
+    "struct widget {\n    u32 id;\n    void (*done)(void *p);\n};\n",
+    "struct widget {\n    u16 pad;\n};\n",
+    "static int helper(void *buf, u32 len)\n{\n    return 0;\n}\n",
+    "static int helper(int x)\n{\n    x = helper(x);\n    return x;\n}\n",
+    "static int caller(struct widget *w)\n{\n    u8 *p;\n"
+    "    p = (u8 *)w + 8;\n    if (w) {\n        helper(w->id, 8);\n"
+    "    }\n    return dma_map_single(dev, p, 4, DMA_TO_DEVICE);\n}\n",
+    "typedef int\n", "typedef unsigned int u32_t;\n",
+    "/* a comment\n}\nstill the comment */\n", "/* open comment\n",
+    "*/\n", '"text\n}\n"\n', 'static char *s = "one line";\n',
+    "'}'\n", "'\n", "}\n", "};\n", "{\n", "}x\n", "  }\n", "\n",
+    "#include <linux/x.h>\n", "// a } comment\n", "struct fwd;\n",
+    "int proto(int a);\n", "int broken(\n", ")\n", "int f(void)\n",
+    "x = 1;\n",
+)
+
+
+def test_per_declaration_parse_equals_parse_file_under_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    junk = st.text(alphabet="{}();,*=/\"'#\nabs ", max_size=12)
+    sources = st.lists(st.sampled_from(FRAGMENTS) | junk,
+                       max_size=14).map("".join)
+    # one base index for every example: its piece memo fills up as in
+    # a campaign process, and pieces recur at other lines
+    base = CodeIndex(SourceTree({"a.c": "", "b.c": FRAGMENTS[0]}),
+                     cache=PerfCache(enabled=False))
+
+    @settings(max_examples=400, deadline=None)
+    @given(sources)
+    def check(source):
+        assert parse_or_error(
+            lambda path, text: _parse_by_declaration(path, text,
+                                                     base._pieces),
+            "a.c", source) == parse_or_error(parse_file, "a.c", source)
+        tree = SourceTree({"a.c": (source + " ")[:-1], "b.c": source})
+        delta = CodeIndex(tree, cache=PerfCache(enabled=False), base=base)
+        assert_same_index(delta, CodeIndex(tree,
+                                           cache=PerfCache(enabled=False)))
+
+    check()
+    assert len(base._pieces) > len(FRAGMENTS)
+
+
+def test_a_full_piece_memo_is_emptied(monkeypatch):
+    monkeypatch.setattr(cindex, "_MAX_PIECES", 2)
+    memo: dict = {}
+    source = "".join(FRAGMENTS[:3])
+    parsed = _parse_by_declaration("a.c", source, memo)
+    assert len(memo) == 1
+    assert parse_or_error(lambda *args: parsed, "a.c", source) == \
+        parse_or_error(parse_file, "a.c", source)

@@ -7,6 +7,10 @@ seam, not a setting) and hold every observable of the memoized replay
 equal to it: records, D-KASAN's events, the coverage record, the
 full-capacity trace ring, the published kernel stats, the IOVA
 allocator, physical pages and shadow bytes.
+
+The memo's tables live as long as the process, so a fixture gives
+every test empty ones: within a test, replays share them as a
+campaign's seeds do.
 """
 
 import dataclasses
@@ -29,6 +33,13 @@ from repro.sim.workload import run_manifest_replay
 SCALE = 0.1
 
 
+@pytest.fixture(autouse=True)
+def fresh_tables(monkeypatch):
+    """Each test starts from empty memo tables and leaves none
+    behind."""
+    monkeypatch.setattr(replay_memo, "_TABLES", {})
+
+
 @pytest.fixture(scope="module")
 def mutator():
     return CorpusMutator(2021, scale=SCALE)
@@ -46,6 +57,8 @@ def replay_observables(manifest, *, seed: int = 3, max_sites=None,
                        traced: bool = True, backend=None,
                        iommu_mode: str = "strict",
                        probe_windows: bool = False,
+                       phys_mb: int = 256, nr_cpus: int = 4,
+                       device_name: str = "camp0",
                        before=lambda kernel: None) -> dict:
     """Replay *manifest* on a fresh campaign kernel, after
     ``before(kernel)``, and return every observable of the run;
@@ -57,20 +70,21 @@ def replay_observables(manifest, *, seed: int = 3, max_sites=None,
             capacity=1 << 20, categories=COVERAGE_CATEGORIES))
         recorder.add_observer(collector.feed)
     try:
-        dkasan = DKasan(256 << 20)
-        kernel = Kernel(seed=seed, phys_mb=256,
+        dkasan = DKasan(phys_mb << 20)
+        kernel = Kernel(seed=seed, phys_mb=phys_mb, nr_cpus=nr_cpus,
                         iommu_mode=iommu_mode,
                         iommu_backend=backend, boot_jitter_pages=0,
                         boot_jitter_blocks=0, sink=dkasan)
         before(kernel)
         stats = run_manifest_replay(kernel, manifest, max_sites=max_sites,
+                                    device_name=device_name,
                                     probe_windows=probe_windows)
     finally:
         if traced:
             trace.uninstall()
     registry = metrics.MetricsRegistry()
     metrics.publish_kernel(registry, kernel)
-    iova = kernel.iommu.domain_of("camp0").iova_allocator
+    iova = kernel.iommu.domain_of(device_name).iova_allocator
     slab = kernel.slab._caches[4096]
     stats = dataclasses.asdict(stats)
     return {
@@ -92,6 +106,7 @@ def replay_observables(manifest, *, seed: int = 3, max_sites=None,
                   page.alloc_generation)
                  for pfn, page in kernel.phys._pages.items()],
         "shadow": hashlib.sha256(dkasan.shadow._shadow).hexdigest(),
+        "kva_base": kernel.addr_space.kva_of_paddr(0),
     }
 
 
@@ -231,3 +246,66 @@ def test_memo_hit_rate_on_campaign_seeds(mutator):
         hits += result["memo_hits"]
         sites += result["stats"]["sites_replayed"]
     assert hits / sites >= 0.8, (hits, sites)
+
+
+def _plain(value) -> bool:
+    """Whether *value* is built of plain values only: no object a
+    kernel owns."""
+    if isinstance(value, (tuple, list)):
+        return all(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return all(_plain(key) and _plain(item)
+                   for key, item in value.items())
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+def test_many_seeds_share_one_table(mutator):
+    """Seeds replayed one after another in one process share one table
+    and stay equal to the full replay, each under its own KASLR base."""
+    bases = set()
+    later_hits = later_sites = 0
+    for seed in range(1, 13):
+        result = assert_memo_exact(mutator.derive(seed).manifest,
+                                   seed=seed)
+        bases.add(result["kva_base"])
+        if seed > 1:
+            later_hits += result["hits"]
+            later_sites += result["stats"]["sites_replayed"]
+    assert len(bases) == 12
+    # the first seed recorded what the others apply
+    assert later_hits >= 0.95 * later_sites, (later_hits, later_sites)
+    (table,) = replay_memo._TABLES.values()
+    assert table.deltas and len(table.fingerprints) < 16
+    for delta in table.deltas.values():
+        assert _plain(dataclasses.astuple(delta)), delta
+    # every kva an event carries is stored relative to its kernel
+    assert any(op[3].get("kva", 1 << 60) < 256 << 20
+               for delta in table.deltas.values() for op in delta.ops
+               if op.__class__ is tuple and "kva" in op[3])
+
+
+def test_kernels_of_different_shape_never_share_a_table(mutator):
+    """A replay gets the table of its kernel's shape; replays of other
+    shapes, interleaved, neither read nor disturb it."""
+    manifest = mutator.derive(9).manifest
+    shapes = [{}, {"phys_mb": 512}, {"nr_cpus": 2},
+              {"device_name": "camp1"}, {"traced": False}, {},
+              {"phys_mb": 512}, {"traced": False}]
+    for seed, shape in enumerate(shapes):
+        assert_memo_exact(manifest, seed=seed, **shape)
+    assert len(replay_memo._TABLES) == 5
+    assert len({shape[:-1] for shape in replay_memo._TABLES}) == 4
+    # the device's IOMMU domain is part of the shape too
+    before = lambda kernel: kernel.iommu.attach_device("dev9")
+    assert assert_memo_exact(manifest, before=before)["hits"] > 0
+    assert len(replay_memo._TABLES) == 6
+
+
+def test_a_full_table_starts_afresh(mutator, monkeypatch):
+    monkeypatch.setattr(replay_memo, "_MAX_STATES", 0)
+    manifest = mutator.derive(10).manifest
+    assert_memo_exact(manifest)
+    (first,) = replay_memo._TABLES.values()
+    assert_memo_exact(manifest)
+    (second,) = replay_memo._TABLES.values()
+    assert second is not first
