@@ -165,16 +165,17 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
     window (Fig 6 per call site), recorded in ``window_sites`` --
     the axis cross-backend campaigns diff.
 
-    SPADE reads the shared cache through a
-    :class:`~repro.perfcache.ReadThroughView`: a derived tree's
-    entries are unique to its seed, so none of them is persisted.
-    With *base*, the base corpus's analysis (a warm mutator's
+    With *base*, the base corpus's analysis (a mutator's
     :meth:`~repro.campaign.mutate.CorpusMutator.base_spade`), SPADE
     analyzes *tree* as a delta of it: the same findings, re-deriving
-    only what the files that differ from the base corpus touch.
+    only what the files that differ from the base corpus touch, with
+    no cache lookup (a derived tree's entries would be unique to its
+    seed). Without it, SPADE analyzes *tree* in full through the
+    process-wide cache, which is what a seed does only with caching
+    off and what the tests compare a delta against.
     """
     from repro import backends as backend_registry
-    from repro import perfcache, trace
+    from repro import trace
     from repro.core.dkasan import DKasan
     from repro.core.spade import Spade, exposures_by_site
     from repro.coverage import COVERAGE_CATEGORIES, CoverageCollector
@@ -185,9 +186,7 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
     spec = (backend_registry.resolve_backend(backend_name)
             if backend_name is not None else None)
 
-    seed_cache = perfcache.ReadThroughView(perfcache.default_cache())
-    spade = Spade(tree, cache=seed_cache, base=base)
-    spade_labels = exposures_by_site(spade.analyze())
+    spade_labels = exposures_by_site(Spade(tree, base=base).analyze())
 
     collector = CoverageCollector() if coverage else None
     recorder = None

@@ -30,8 +30,7 @@ set); a hung seed is one such failure, so ``timeout_s`` plus ``retry``
 is the hang recovery. ``fault_spec`` arms a per-seed
 :class:`~repro.faults.FaultPlan` (stream = seed, attempt = retry
 number) inside :func:`_guarded_run_seed`, which is how the chaos
-harness injects worker crashes, hangs and cache I/O errors
-deterministically.
+harness injects worker crashes and hangs deterministically.
 """
 
 from __future__ import annotations
@@ -159,16 +158,14 @@ def run_seed(seed: int, *, base_seed: int = 2021,
 
     *mutator*, when given, is a warm :class:`CorpusMutator` whose base
     corpus is already materialized (the worker-process fast path); it
-    must match *base_seed*/*scale*. SPADE then analyzes the seed's
-    tree as a delta of the mutator's
-    :meth:`~CorpusMutator.base_spade`.
+    must match *base_seed*/*scale*. Without one, a fresh mutator is
+    built. SPADE analyzes the seed's tree as a delta of the mutator's
+    :meth:`~CorpusMutator.base_spade`, or in full with caching off.
     """
     start = time.monotonic()
-    base = None
     if mutator is None:
         mutator = CorpusMutator(base_seed, scale=scale)
-    else:
-        base = mutator.base_spade()
+    base = mutator.base_spade()
     mutated = mutator.derive(seed, mutations_per_seed)
     result = run_differential(mutated.tree, mutated.manifest, seed=seed,
                               phys_mb=phys_mb,
@@ -287,6 +284,11 @@ def _init_worker(config: "CampaignConfig",
     _WORKER_MUTATOR.base_spade()
     if _WORKER_HEARTBEAT is not None:
         _WORKER_HEARTBEAT.beat(stage="idle", seeds_done=0)
+    if config.cache_dir:
+        # seeds make no cache lookups, so the worker's stats are final
+        # here (lock-free: each process only ever overwrites its own
+        # file, and a no-op when REPRO_CACHE=off left no disk tier)
+        perfcache.default_cache().persist_stats()
 
 
 def _worker_seed(seed: int, attempt: int) -> dict:
@@ -303,10 +305,6 @@ def _worker_seed(seed: int, attempt: int) -> dict:
     _WORKER_SEEDS_DONE += 1
     if beat is not None:
         beat.beat(stage="idle", seed=seed, seeds_done=_WORKER_SEEDS_DONE)
-    if config.cache_dir:
-        # lock-free: each process only ever overwrites its own file
-        # (and a no-op when REPRO_CACHE=off left no disk tier)
-        perfcache.default_cache().persist_stats()
     return record
 
 

@@ -819,15 +819,15 @@ def cmd_coverage(args) -> int:
 
 
 def _load_fault_spec(path: str | None):
-    """Resolve a fault spec from --plan / REPRO_FAULTS, else None."""
+    """The fault spec in the plan file at *path*, else None."""
     import json
 
     from repro import faults
 
-    if path:
-        with open(path, encoding="utf-8") as handle:
-            return faults.FaultSpec.from_json(json.load(handle))
-    return faults.spec_from_env()
+    if not path:
+        return None
+    with open(path, encoding="utf-8") as handle:
+        return faults.FaultSpec.from_json(json.load(handle))
 
 
 def cmd_chaos(args) -> int:
@@ -858,9 +858,7 @@ def cmd_chaos(args) -> int:
                          campaign_seeds=args.campaign_seeds,
                          campaign_scale=args.campaign_scale,
                          jobs=args.jobs, retry=args.retry,
-                         backend=backend,
-                         crash_points=max(0, args.crash_points),
-                         log=print)
+                         backend=backend)
 
     rendered = None
     use_metrics = metrics.enabled_in_env() and metrics.active() is None
@@ -1004,8 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                "cache tier at DIR\n"
                "  REPRO_METRICS=off      disable the metrics registry "
                "process-wide\n"
-               "  REPRO_FAULTS=PLAN      arm the fault plan at "
-               "PLAN.json (chaos/campaign); 'off' disables\n"
                "  REPRO_DURABILITY=MODE  atomic|fsync: how every "
                "artifact is written (default atomic)")
     parser.add_argument("--version", action="version",
@@ -1101,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--fault-plan", metavar="PLAN.json",
                           help="arm a repro.faults plan inside every "
                                "worker (stream=seed, attempt=retry "
-                               "number); default: $REPRO_FAULTS")
+                               "number)")
     campaign.add_argument("--backend", metavar="NAME",
                           help="IOMMU backend model for the dynamic "
                                "replay (see 'repro-dma backends "
@@ -1283,8 +1279,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the standard workloads and a differential campaign "
              "under a deterministic fault-injection plan")
     chaos.add_argument("--plan", metavar="PLAN.json",
-                       help="fault plan file (default: $REPRO_FAULTS, "
-                            "else the built-in recoverable plan)")
+                       help="fault plan file (default: the built-in "
+                            "recoverable plan)")
     chaos.add_argument("--plan-seed", type=int, default=0,
                        help="seed for the built-in plan's RNG streams")
     chaos.add_argument("--seed", type=int, default=5,
@@ -1313,13 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--backend", metavar="NAME",
                        help="IOMMU backend model for the phase-A "
                             "workloads and phase-B campaign replay")
-    chaos.add_argument("--crash-points", type=int, default=0,
-                       metavar="N",
-                       help="also run a phase C: kill a campaign "
-                            "subprocess at up to N durability crash "
-                            "points and assert --resume recovers "
-                            "byte-identically (0 disables; see "
-                            "'crashtest' for the full matrix)")
     chaos.set_defaults(func=cmd_chaos)
 
     crashtest = sub.add_parser(

@@ -6,23 +6,26 @@ needs: where is a struct/function defined, and who calls a function
 (with what argument expressions) -- the latter drives the recursive
 backtracking when a mapped variable turns out to be a parameter.
 
-Parsing is the expensive half of a SPADE run, so every per-file parse
-tree goes through :mod:`repro.perfcache`, keyed by the parser version,
-the path, and the SHA-256 of the file's text. A campaign seed indexes
-its tree as a delta of the base corpus's index (``base=``): only the
-files its mutations rewrote are hashed and looked up in the cache,
-and only the definitions and callers lists those files touch are
-rebuilt; everything else is the base index's, shared by reference.
+Parsing is the expensive half of a SPADE run, so a full index puts
+every per-file parse tree through :mod:`repro.perfcache`, keyed by the
+parser version, the path, and the SHA-256 of the file's text. A
+campaign seed indexes its tree as a delta of the base corpus's index
+(``base=``): only the files its mutations rewrote are parsed, and only
+the definitions and callers lists those files touch are rebuilt;
+everything else is the base index's, shared by reference.
 
-A mutation rewrites one of a file's top-level declarations and leaves
-the others byte-identical, at most a line or two further down. So a
-delta index that misses the cache on a whole file parses it one
-declaration at a time (:func:`~repro.core.spade.cparse.split_declarations`):
-each piece is looked up in a memo the base index owns for the life of
-the process, keyed by path and piece text, and only unseen pieces are
+A delta parses a changed file through one memo that lives as long as
+the process, keyed by path and text, and makes no cache lookup. A file
+the memo holds is one dict lookup. A new one is parsed a declaration
+at a time (:func:`~repro.core.spade.cparse.split_declarations`),
+because a mutation rewrites one of a file's top-level declarations and
+leaves the others byte-identical, at most a line or two further down:
+each piece goes through the same memo, and only unseen pieces are
 parsed. The merged result equals a whole-file parse; where a piece
-fails to parse, the whole file is parsed instead. Every parse, whole
-or piece, is a call of this module's ``parse_file``.
+fails to parse, the whole file is parsed instead, every time. The memo
+serves every delta of the process, whatever its base: ``parse_file``
+is a pure function of path and text. Every parse, whole or piece, is a
+call of this module's ``parse_file``.
 """
 
 from __future__ import annotations
@@ -52,46 +55,60 @@ def _is_source(path: str) -> bool:
     return path.endswith(".c") or path.endswith(".h")
 
 
-#: a piece memo that reaches this many entries is emptied before the
-#: next piece goes in: a campaign's pieces are a bounded set, so only an
-#: unbounded stream of new texts gets there
-_MAX_PIECES = 8192
+#: (path, text) -> ``parse_file(path, text)`` for a changed file or
+#: one of its pieces, or None where *text* does not parse as a piece
+#: (a file stored so is parsed whole each time); see the module
+#: docstring
+_PARSES: dict[tuple[str, str], ParsedFile | None] = {}
+
+#: the memo is emptied before an entry goes in once it holds this many:
+#: a campaign's changed files and their pieces are a bounded set, so
+#: only an unbounded stream of new texts gets there
+_MAX_PARSES = 8192
 
 
-def _parse_by_declaration(path: str, source: str,
-                          memo: dict[tuple[str, str], ParsedFile | None]
-                          ) -> ParsedFile:
-    """``parse_file(path, source)``, parsing only the pieces of *source*
-    *memo* has not seen; a piece that fails (memoized as None) makes
-    it parse the whole file."""
-    parts = []
-    for text in split_declarations(source):
-        key = (path, text)
-        if key in memo:
-            part = memo[key]
-        else:
-            if len(memo) >= _MAX_PIECES:
-                memo.clear()
-            try:
-                part = parse_file(path, text, piece=True)
-            except Exception:
-                # whatever a piece raises, the whole-file parse below
-                # decides the result and the error text
-                part = None
-            memo[key] = part
-        if part is None:
-            return parse_file(path, source)
-        parts.append((part, text))
-    merged = ParsedFile(path)
-    line = 0
-    for part, text in parts:
-        part = shift_lines(part, line)
-        # a later duplicate overwrites the value, keeping the first
-        # position, as in a whole-file parse
-        merged.structs.update(part.structs)
-        merged.functions.update(part.functions)
-        line += text.count("\n")
-    return merged
+def _memoize(key: tuple[str, str], parsed: ParsedFile | None) -> None:
+    if len(_PARSES) >= _MAX_PARSES:
+        _PARSES.clear()
+    _PARSES[key] = parsed
+
+
+def _parse_piece(path: str, text: str) -> ParsedFile | None:
+    """*text* parsed as a piece, through the memo; None where it
+    fails."""
+    key = (path, text)
+    if key not in _PARSES:
+        try:
+            parsed = parse_file(path, text, piece=True)
+        except Exception:
+            # whatever a piece raises, a whole-file parse decides the
+            # result and the error text
+            parsed = None
+        _memoize(key, parsed)
+    return _PARSES[key]
+
+
+def _parse_by_declaration(path: str, source: str) -> ParsedFile:
+    """``parse_file(path, source)`` through the memo, parsing only the
+    pieces of *source* it has not seen."""
+    key = (path, source)
+    if key not in _PARSES:
+        merged: ParsedFile | None = ParsedFile(path)
+        line = 0
+        for text in split_declarations(source):
+            part = _parse_piece(path, text)
+            if part is None:
+                merged = None
+                break
+            part = shift_lines(part, line)
+            # a later duplicate overwrites the value, keeping the first
+            # position, as in a whole-file parse
+            merged.structs.update(part.structs)
+            merged.functions.update(part.functions)
+            line += text.count("\n")
+        _memoize(key, merged)
+    parsed = _PARSES[key]
+    return parse_file(path, source) if parsed is None else parsed
 
 
 def _defined_and_called(parsed: ParsedFile | None
@@ -115,15 +132,14 @@ class CodeIndex:
     With *base*, an index of another tree, the result equals a full
     index of *tree* -- ``parsed`` in the same order, ``structs``,
     ``functions``, ``parse_errors`` and every ``callers_of`` list --
-    but only the changed source files are hashed, looked up and, on a
-    miss, parsed. A file is changed unless *tree* holds the very
-    string object *base*'s tree held at that path (as a copy-on-write
+    but only the changed source files are hashed and parsed, through
+    the process's parse memo and never through *cache* (see the module
+    docstring). A file is changed unless *tree* holds the very string
+    object *base*'s tree held at that path (as a copy-on-write
     derivation does for every file it left alone), so the changed set
     can be too wide, never too narrow. ``dirty`` then names what the
     delta may have changed for the analysis: the changed paths plus
-    every struct and callee name in their old or new text. A changed
-    file that misses the cache is parsed by declaration, through the
-    piece memo of *base* (see the module docstring).
+    every struct and callee name in their old or new text.
     """
 
     def __init__(self, tree: SourceTree, *,
@@ -143,41 +159,34 @@ class CodeIndex:
         # the text each path held, what a delta on this index compares
         # its tree's files against (a copy: the tree may change later)
         self._files = dict(tree.files)
-        #: (path, piece text) -> the piece parsed on its own, or None
-        #: where it failed: the memo deltas on this index parse through
-        self._pieces: dict[tuple[str, str], ParsedFile | None] = {}
         started = time.perf_counter()
         if base is None:
             self._index_all(tree, cache)
         else:
-            self._index_delta(tree, cache, base)
+            self._index_delta(tree, base)
         metrics.observe("spade", "index_seconds",
                         time.perf_counter() - started)
         metrics.count("spade", "files_indexed", len(self.parsed))
 
-    def _parse(self, tree: SourceTree, path: str, cache,
-               pieces: dict | None = None) -> None:
-        """Hash, look up (or parse) one file into ``parsed`` or
-        ``parse_errors``; a miss parses by declaration through
-        *pieces*, if given."""
-        content = tree.read(path)
-        digest = perfcache.file_digest(content)
-        self.file_hashes[path] = digest
-        key = perfcache.content_key("parse", str(PARSER_VERSION), path,
-                                    digest)
+    def _parse(self, path: str, content: str, parse) -> None:
+        """Hash one file and record ``parse()`` in ``parsed``, or what
+        it raised in ``parse_errors``."""
+        self.file_hashes[path] = perfcache.file_digest(content)
         try:
-            self.parsed[path] = cache.cached(
-                "parse", key,
-                lambda: parse_file(path, content) if pieces is None
-                else _parse_by_declaration(path, content, pieces),
-                encode=encode_parsed_file, decode=decode_parsed_file)
+            self.parsed[path] = parse()
         except Exception as exc:  # a real tool logs and moves on
             self.parse_errors[path] = str(exc)
 
     def _index_all(self, tree: SourceTree, cache) -> None:
         for path in tree.paths():
-            if _is_source(path):
-                self._parse(tree, path, cache)
+            if not _is_source(path):
+                continue
+            content = tree.read(path)
+            key = perfcache.content_key("parse", str(PARSER_VERSION), path,
+                                        perfcache.file_digest(content))
+            self._parse(path, content, lambda: cache.cached(
+                "parse", key, lambda: parse_file(path, content),
+                encode=encode_parsed_file, decode=decode_parsed_file))
         for path, parsed in self.parsed.items():
             for name, struct_def in parsed.structs.items():
                 self.structs.setdefault(name, struct_def)
@@ -187,8 +196,7 @@ class CodeIndex:
                     self._callers[call.callee].append(
                         CallerRecord(path, func, call))
 
-    def _index_delta(self, tree: SourceTree, cache,
-                     base: "CodeIndex") -> None:
+    def _index_delta(self, tree: SourceTree, base: "CodeIndex") -> None:
         changed = frozenset(
             path for path in self._files.keys() | base._files.keys()
             if _is_source(path)
@@ -200,7 +208,9 @@ class CodeIndex:
             if not _is_source(path):
                 continue
             if path in changed:
-                self._parse(tree, path, cache, base._pieces)
+                content = tree.read(path)
+                self._parse(path, content,
+                            lambda: _parse_by_declaration(path, content))
             elif path in base.parsed:
                 self.parsed[path] = base.parsed[path]
             else:

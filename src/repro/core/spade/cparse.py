@@ -355,10 +355,19 @@ def parse_file(path: str, source: str, *,
     With *piece*, *source* is one piece of a file as
     :func:`split_declarations` cuts it, parsed on its own: a
     ``typedef`` still open at its end raises :class:`AnalysisError`,
-    because in the whole file it would run on into the next piece.
+    because in the whole file it would run on into the next piece, and
+    so does a literal that holds a newline, because the tokenizer does
+    not count it, so the pieces after it would shift one line too far.
     """
     preproc = TokKind.PREPROC
-    tokens = [t for t in tokenize(source) if t.kind is not preproc]
+    tokens = tokenize(source)
+    if piece:
+        for tok in tokens:
+            # only a string or char literal can hold a newline
+            if "\n" in tok.text:
+                raise AnalysisError(f"literal at line {tok.line} spans "
+                                    f"lines")
+    tokens = [t for t in tokens if t.kind is not preproc]
     parsed = ParsedFile(path)
     i = 0
     n = len(tokens)
@@ -436,7 +445,8 @@ def split_declarations(source: str) -> list[str]:
     down by the lines before it (:func:`shift_lines`) and merging the
     results in order equals ``parse_file(path, source)`` whenever
     every piece parses: a comment, literal or brace pair that a cut
-    splits makes a piece fail, and so does a typedef left open.
+    splits makes a piece fail, and so do a typedef left open and a
+    literal holding a newline.
     """
     pieces = []
     start = 0

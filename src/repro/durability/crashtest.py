@@ -196,7 +196,6 @@ def _base_env() -> dict:
     env = dict(os.environ)
     env.pop("REPRO_CRASH", None)
     env.pop("REPRO_CRASH_CENSUS", None)
-    env.pop("REPRO_FAULTS", None)
     return env
 
 

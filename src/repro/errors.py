@@ -95,8 +95,8 @@ class MetricsError(ReproError):
 
 
 class FaultError(ReproError):
-    """Fault-engine misuse (unknown site, bad trigger, double install,
-    unreadable ``REPRO_FAULTS`` plan)."""
+    """Fault-engine misuse (unknown site, bad trigger, double
+    install)."""
 
 
 class BackendError(ReproError):

@@ -23,15 +23,10 @@ path would produce (``InjectedOutOfMemory`` is an ``OutOfMemoryError``,
 ``InjectedDmaMapError`` is a ``DmaApiError``, ...) tagged with
 ``.site`` -- existing recovery handles them naturally, and anything
 that escapes names the offending site.
-
-``REPRO_FAULTS=<plan.json>`` points the CLI at a fault plan file;
-``REPRO_FAULTS=off`` (or empty) disables it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
 from contextlib import contextmanager
 
@@ -48,7 +43,7 @@ __all__ = [
     "InjectedCacheError", "InjectedDmaMapError", "InjectedFault",
     "InjectedOutOfMemory", "InjectedWorkerCrash",
     "active", "active_sites", "fired_counts", "fires", "install",
-    "reset_fired_counts", "session", "spec_from_env", "standard_spec",
+    "reset_fired_counts", "session", "standard_spec",
     "uninstall",
 ]
 
@@ -162,18 +157,3 @@ def fired_counts() -> dict:
 
 def reset_fired_counts() -> None:
     _fired_total.clear()
-
-
-def spec_from_env(environ=None) -> FaultSpec | None:
-    """The ``REPRO_FAULTS`` plan, or None when unset/off."""
-    environ = os.environ if environ is None else environ
-    value = environ.get("REPRO_FAULTS", "").strip()
-    if not value or value.lower() in ("off", "0", "false", "no"):
-        return None
-    try:
-        with open(value, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise FaultError(
-            f"REPRO_FAULTS={value!r}: cannot load fault plan: {exc}")
-    return FaultSpec.from_json(doc)

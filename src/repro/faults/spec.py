@@ -261,7 +261,11 @@ def standard_spec(seed: int = 0) -> FaultSpec:
     packets are normal network weather, cache I/O errors fall back to
     recompute, and the one worker crash fires only on attempt 0 so a
     single retry heals it. Trigger cadences are tuned to the default
-    chaos workload sizes so every site fires at least once.
+    chaos workload sizes so every kernel site and the worker crash
+    fire at least once. The cache rules fire only where a process
+    reads or writes the cache while the plan is armed; ``chaos`` arms
+    it per campaign seed, and a seed makes no cache lookup, so there
+    they never fire.
     """
     return FaultSpec([
         SiteRule("mem.buddy.alloc", every_nth=2, max_fires=2),

@@ -16,10 +16,12 @@ levels, all keyed by content, never by timestamp:
 
 Two tiers: an in-process object cache (shared parse trees, no decode
 cost) over an optional on-disk JSON store that campaign workers and
-repeat CLI runs warm from. A campaign seed reads both tiers but
-persists nothing (:class:`~repro.perfcache.store.ReadThroughView`):
-its mutated corpus is its own, so only the base corpus's entries are
-worth keeping on disk. Correctness is enforced differentially --
+repeat CLI runs warm from. A campaign seed makes no lookup: its
+mutated corpus is its own, so it is analyzed as a delta of the base
+corpus's analysis, which parses the changed files through an
+in-process memo (:mod:`repro.core.spade.cindex`). The cache holds only
+what another process or a later full analysis reuses: the base
+corpus's entries. Correctness is enforced differentially --
 ``repro-dma cache verify`` and the tier-1 tests require cached and
 uncached runs to produce byte-identical findings.
 
@@ -37,13 +39,12 @@ import os
 from repro.perfcache.store import (CACHE_SCHEMA, DEFAULT_MEMORY_ENTRIES,
                                    NAMESPACES, SNAPSHOTS_DIR, STATS_DIR,
                                    CacheStats, NamespaceUsage, PerfCache,
-                                   ReadThroughView, content_key,
-                                   file_digest)
+                                   content_key, file_digest)
 
 __all__ = [
     "CACHE_SCHEMA", "DEFAULT_MEMORY_ENTRIES", "NAMESPACES",
     "SNAPSHOTS_DIR", "STATS_DIR", "CacheStats", "NamespaceUsage",
-    "PerfCache", "ReadThroughView", "cache_from_env", "configure",
+    "PerfCache", "cache_from_env", "configure",
     "content_key", "default_cache", "enabled_from_env", "file_digest",
     "reset_default",
 ]

@@ -11,18 +11,15 @@ Keys are hex SHA-256 digests of whatever identifies the computation
 (source bytes, analyzer versions, parameters); ``<kk>`` is the first
 two hex characters, which keeps directories small at corpus scale.
 
-Only keys a later lookup can hit are persisted: generated corpora,
-the parse trees of a corpus analyzed in full (a campaign's base
-corpus, which every seed of every run reads again), and the findings
-of ``Spade(tree).analyze()`` outside a campaign seed (``audit``,
-``cache verify``, the paper figures). A campaign seed analyzes a
-corpus derived for it alone, through a :class:`ReadThroughView`: it
-reads both tiers, keeps the parse trees of its mutated files in the
-memory tier only, and stores findings nowhere. Over 400 warm
-seeds, 158 mutated-file trees were read again 1,176 times (mutations
-recur), while none of the 400 per-seed findings entries was; keeping
-those findings grew a jobs=1 process from 54 to 125 MiB. So the disk
-tier stops growing with the seed count.
+Only keys a later lookup can hit are stored: generated corpora, the
+parse trees of a corpus analyzed in full (a campaign's base corpus,
+which every seed of every run reads again), and the findings of
+``Spade(tree).analyze()`` (``audit``, ``cache verify``, the paper
+figures). A campaign seed makes no lookup at all: its SPADE run is a
+delta of the base corpus's analysis, which parses the seed's changed
+files through an in-process memo of its own
+(:mod:`repro.core.spade.cindex`), and a delta's findings are never
+looked up. So neither tier grows with the seed count.
 
 Tier 1 is an in-process dict holding the *decoded objects* -- a hit
 costs one dict lookup and returns the very same parse tree or finding
@@ -43,7 +40,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import durability, faults
 
@@ -145,15 +142,11 @@ class PerfCache:
     # -- the one entry point callers use -------------------------------------
 
     def cached(self, namespace: str, key: str, compute, *,
-               encode=None, decode=None, keep: str | None = "disk"):
+               encode=None, decode=None):
         """Return the cached value for (namespace, key) or compute it.
 
         ``encode(obj) -> json-able`` / ``decode(payload) -> obj`` gate
         the disk tier; without them the entry lives in memory only.
-        ``keep`` says where a computed miss goes: ``"disk"`` (the
-        default) stores it and counts a store; ``"memory"`` keeps it
-        in the memory tier only and ``None`` nowhere, neither counted
-        as a store. The last two are :class:`ReadThroughView`'s.
         """
         if not self.enabled:
             self.stats.bypasses += 1
@@ -172,18 +165,14 @@ class PerfCache:
                     self.stats.corrupt += 1
                 else:
                     self.stats.disk_hits += 1
-                    if keep is not None:
-                        self._memory_store(memory_key, obj)
+                    self._memory_store(memory_key, obj)
                     return obj
         self.stats.misses += 1
         obj = compute()
-        if keep == "disk":
-            self._memory_store(memory_key, obj)
-            if self._disk_usable and encode is not None:
-                self._disk_write(namespace, key, encode(obj))
-            self.stats.stores += 1
-        elif keep == "memory":
-            self._memory_store(memory_key, obj)
+        self._memory_store(memory_key, obj)
+        if self._disk_usable and encode is not None:
+            self._disk_write(namespace, key, encode(obj))
+        self.stats.stores += 1
         return obj
 
     # -- memory tier ---------------------------------------------------------
@@ -407,30 +396,3 @@ class PerfCache:
             pass
         self.drop_memory()
         return removed
-
-
-class ReadThroughView:
-    """A :class:`PerfCache` as a campaign seed sees it.
-
-    Lookups read both tiers exactly as :meth:`PerfCache.cached` does
-    (and go through it). A miss keeps a parse tree in the memory tier
-    only and any other entry nowhere, so a seed writes nothing to disk
-    and ``stats.stores`` does not move; ``stats.misses`` still counts
-    every computation. A seed of a warm campaign looks up only the
-    parse trees of the files its mutations changed: its SPADE run is a
-    delta of the base corpus's analysis, which no findings entry
-    holds. Only a seed analyzed in full (``run_seed`` without a warm
-    mutator) also looks up a whole-corpus findings entry, and keeps
-    it nowhere.
-    """
-
-    #: namespace -> where a computed miss is kept (absent: nowhere)
-    KEEP = {"parse": "memory"}
-
-    def __init__(self, cache: PerfCache) -> None:
-        self.cache = cache
-
-    def cached(self, namespace: str, key: str, compute, *,
-               encode=None, decode=None):
-        return self.cache.cached(namespace, key, compute, decode=decode,
-                                 keep=self.KEEP.get(namespace))

@@ -12,6 +12,15 @@ from repro.corpus.generate import SourceTree
 from repro.perfcache import PerfCache
 
 
+@pytest.fixture(autouse=True)
+def parses(monkeypatch):
+    """An empty parse memo of delta indexes for each test (the
+    module's lives as long as the process)."""
+    memo: dict = {}
+    monkeypatch.setattr(cindex, "_PARSES", memo)
+    return memo
+
+
 def make_tree():
     tree = SourceTree()
     tree.add("a.c", """
@@ -252,12 +261,37 @@ RUN_OFFS = {
 
 
 @pytest.mark.parametrize("source", sorted(RUN_OFFS))
-def test_per_declaration_parse_falls_back_where_a_cut_splits(source):
-    memo: dict = {}
-    assert parse_or_error(
-        lambda path, text: _parse_by_declaration(path, text, memo),
-        "a.c", source) == parse_or_error(parse_file, "a.c", source)
-    assert (None in memo.values()) is RUN_OFFS[source]
+def test_per_declaration_parse_falls_back_where_a_cut_splits(source,
+                                                              parses):
+    assert parse_or_error(_parse_by_declaration, "a.c", source) == \
+        parse_or_error(parse_file, "a.c", source)
+    assert (None in parses.values()) is RUN_OFFS[source]
+
+
+#: files that are a single piece whose piece parse fails: a typedef
+#: left open at the end, a literal holding a newline
+SINGLE_FAILING_PIECES = (
+    "typedef int\n",
+    'int f(void)\n{\n    g("a\nb");\n    h(1);\n}\n',
+)
+
+
+@pytest.mark.parametrize("source", SINGLE_FAILING_PIECES)
+def test_a_single_failing_piece_parses_the_whole_file(source, parses):
+    assert split_declarations(source) == [source]
+    for _ in range(2):
+        assert parse_or_error(_parse_by_declaration, "a.c", source) == \
+            parse_or_error(parse_file, "a.c", source)
+    assert parses == {("a.c", source): None}
+
+
+def test_a_parsed_file_is_one_memo_lookup(parses):
+    source = "".join(FRAGMENTS[:3])
+    parsed = _parse_by_declaration("a.c", source)
+    assert parses[("a.c", source)] is parsed
+    with mock.patch.object(cindex, "parse_file",
+                           side_effect=AssertionError("parsed again")):
+        assert _parse_by_declaration("a.c", source) is parsed
 
 
 def test_per_declaration_parse_equals_parse_file_on_campaign_seeds():
@@ -265,7 +299,6 @@ def test_per_declaration_parse_equals_parse_file_on_campaign_seeds():
     campaign process uses it: lines shifted, pieces reused."""
     mutator = CorpusMutator(2021, scale=0.1)
     base_files = mutator.base_view()[0].files
-    memo: dict = {}
     calls = []
 
     def counted(path, text, **kwargs):
@@ -281,11 +314,11 @@ def test_per_declaration_parse_equals_parse_file_on_campaign_seeds():
                         or seed and text is base_files[path]:
                     continue
                 nr_files += 1
-                assert parse_or_error(
-                    lambda p, t: _parse_by_declaration(p, t, memo),
-                    path, text) == parse_or_error(parse_file, path, text)
+                assert parse_or_error(_parse_by_declaration, path,
+                                      text) == \
+                    parse_or_error(parse_file, path, text)
     assert calls and all(kwargs == {"piece": True} for kwargs in calls)
-    assert None not in memo.values()
+    assert None not in cindex._PARSES.values()
     # most pieces of the ~1,100 mutated files were parsed before
     nr_base_pieces = sum(len(split_declarations(text))
                          for path, text in base_files.items()
@@ -314,40 +347,40 @@ FRAGMENTS = (
 )
 
 
-def test_per_declaration_parse_equals_parse_file_under_hypothesis():
+def test_per_declaration_parse_equals_parse_file_under_hypothesis(parses):
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     junk = st.text(alphabet="{}();,*=/\"'#\nabs ", max_size=12)
     sources = st.lists(st.sampled_from(FRAGMENTS) | junk,
                        max_size=14).map("".join)
-    # one base index for every example: its piece memo fills up as in
-    # a campaign process, and pieces recur at other lines
+    # one memo for every example: it fills up as in a campaign
+    # process, and files and pieces recur at other lines
     base = CodeIndex(SourceTree({"a.c": "", "b.c": FRAGMENTS[0]}),
                      cache=PerfCache(enabled=False))
 
     @settings(max_examples=400, deadline=None)
     @given(sources)
+    # a newline in a char literal, which the tokenizer does not count
+    @example("'\n'" + FRAGMENTS[0] * 2)
     def check(source):
-        assert parse_or_error(
-            lambda path, text: _parse_by_declaration(path, text,
-                                                     base._pieces),
-            "a.c", source) == parse_or_error(parse_file, "a.c", source)
+        assert parse_or_error(_parse_by_declaration, "a.c", source) == \
+            parse_or_error(parse_file, "a.c", source)
         tree = SourceTree({"a.c": (source + " ")[:-1], "b.c": source})
         delta = CodeIndex(tree, cache=PerfCache(enabled=False), base=base)
         assert_same_index(delta, CodeIndex(tree,
                                            cache=PerfCache(enabled=False)))
 
     check()
-    assert len(base._pieces) > len(FRAGMENTS)
+    assert len(parses) > len(FRAGMENTS)
 
 
-def test_a_full_piece_memo_is_emptied(monkeypatch):
-    monkeypatch.setattr(cindex, "_MAX_PIECES", 2)
-    memo: dict = {}
+def test_a_full_piece_memo_is_emptied(monkeypatch, parses):
+    monkeypatch.setattr(cindex, "_MAX_PARSES", 2)
     source = "".join(FRAGMENTS[:3])
-    parsed = _parse_by_declaration("a.c", source, memo)
-    assert len(memo) == 1
+    parsed = _parse_by_declaration("a.c", source)
+    # emptied before the third piece went in
+    assert list(parses) == [("a.c", FRAGMENTS[2]), ("a.c", source)]
     assert parse_or_error(lambda *args: parsed, "a.c", source) == \
         parse_or_error(parse_file, "a.c", source)

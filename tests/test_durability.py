@@ -601,22 +601,6 @@ def test_crashtest_matrix_recovers_a_real_campaign(tmp_path):
     assert "crashtest verdict: PASS" in rendered
 
 
-def test_chaos_report_gates_on_crashtest():
-    from repro.durability.crashtest import CrashtestReport, PointOutcome
-    from repro.faults.chaos import ChaosReport, format_chaos_report
-    healthy = CrashtestReport(
-        points=[PointOutcome("durability.post_write", 1, killed=True,
-                             resumed_ok=True, findings_match=True,
-                             coverage_match=True, seeds_intact=True,
-                             clean_tmp=True)])
-    report = ChaosReport(crashtest=healthy)
-    assert report.ok
-    assert "crash-and-resume: ok" in format_chaos_report(report)
-    report.crashtest = CrashtestReport(error="census unreadable")
-    assert not report.ok
-    assert "crashtest error" in format_chaos_report(report)
-
-
 def test_crashtest_cli_rejects_unknown_site(capsys):
     from repro.cli import main
     assert main(["crashtest", "--sites", "durability.bogus"]) == 2

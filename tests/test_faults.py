@@ -221,26 +221,19 @@ def test_injected_exceptions_subclass_real_errors():
     assert "mem.slab.kmalloc" in str(exc)
 
 
-# -- REPRO_FAULTS ------------------------------------------------------------
-
-def test_spec_from_env_unset_and_off():
-    assert faults.spec_from_env({}) is None
-    for off in ("off", "0", "false", "no", ""):
-        assert faults.spec_from_env({"REPRO_FAULTS": off}) is None
-
-
-def test_spec_from_env_loads_plan(tmp_path):
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(standard_spec(seed=5).to_json()))
-    spec = faults.spec_from_env({"REPRO_FAULTS": str(path)})
-    assert spec.seed == 5
-    assert spec.sites == standard_spec().sites
-
-
-def test_spec_from_env_bad_path_raises(tmp_path):
-    with pytest.raises(FaultError, match="cannot load fault plan"):
-        faults.spec_from_env({"REPRO_FAULTS": str(tmp_path / "nope")})
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(FaultError, match="cannot load fault plan"):
-        faults.spec_from_env({"REPRO_FAULTS": str(bad)})
+def test_chaos_report_gates_on_every_phase():
+    from repro.faults.chaos import (ChaosReport, WorkloadOutcome,
+                                    format_chaos_report)
+    report = ChaosReport(outcomes=[WorkloadOutcome("storage", True)],
+                         campaign=WorkloadOutcome("campaign", True))
+    assert report.ok
+    assert "chaos verdict: PASS" in format_chaos_report(report)
+    report.campaign = WorkloadOutcome(
+        "campaign", False, unrecovered_site="campaign.worker.crash")
+    assert not report.ok
+    rendered = format_chaos_report(report)
+    assert "UNRECOVERED FAULT at campaign.worker.crash" in rendered
+    assert "chaos verdict: FAIL" in rendered
+    report.campaign = WorkloadOutcome("campaign", True)
+    report.outcomes.append(WorkloadOutcome("ringflood", False))
+    assert not report.ok

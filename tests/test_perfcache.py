@@ -115,35 +115,22 @@ def test_clear_disk_refuses_nothing_but_never_unrelated_files(tmp_path):
     assert sum(usage.entries for usage in cache.disk_usage()) == 0
 
 
-def test_read_through_view_persists_nothing(tmp_path):
-    directory = str(tmp_path / "cache")
-    shared = PerfCache(directory)
-    for namespace in ("parse", "findings"):
-        shared.cached(namespace, "stored", lambda: [1],
-                      encode=lambda obj: obj, decode=lambda data: data)
-    cache = PerfCache(directory)
-    view = perfcache.ReadThroughView(cache)
-    for namespace in ("parse", "findings"):
-        # both tiers still read: a stored entry is a disk hit
-        assert view.cached(namespace, "stored",
-                           lambda: pytest.fail("recompute"),
-                           encode=lambda obj: obj,
-                           decode=lambda data: data) == [1]
-        assert view.cached(namespace, "new", lambda: [2],
-                           encode=lambda obj: obj,
-                           decode=lambda data: data) == [2]
-    assert cache.stats.disk_hits == 2
-    assert cache.stats.misses == 2
-    assert cache.stats.stores == 0
-    # a new parse tree stays in memory; findings are kept nowhere, not
-    # even a findings disk hit
-    assert cache.nr_memory_entries == 2
-    calls = []
-    view.cached("parse", "new", lambda: calls.append("parse"))
-    view.cached("findings", "new", lambda: calls.append("findings"))
-    assert calls == ["findings"]
-    assert sorted(usage.entries for usage in cache.disk_usage()
-                  if usage.namespace in ("parse", "findings")) == [1, 1]
+def test_a_warm_seed_makes_no_cache_lookups():
+    """Once the base corpus is analyzed, a seed reads and writes no
+    cache entry: its changed files go through the parse memo of
+    :mod:`repro.core.spade.cindex`, and a delta's findings are never
+    looked up."""
+    from repro.campaign.mutate import CorpusMutator
+    from repro.campaign.runner import run_seed
+
+    mutator = CorpusMutator(2021, scale=0.06)
+    mutator.base_spade()
+    stats = perfcache.default_cache().stats
+    before = stats.to_json()
+    assert stats.lookups
+    for seed in range(6):
+        run_seed(seed, scale=0.06, mutator=mutator, trace_events=0)
+    assert stats.to_json() == before
 
 
 def test_cache_clear_removes_campaign_snapshots(tmp_path, capsys):

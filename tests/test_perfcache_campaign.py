@@ -1,12 +1,13 @@
-"""Campaign seeds and the shared cache: a seed persists nothing.
+"""Campaign seeds and the shared cache: a seed makes no lookups.
 
-Every seed analyzes a corpus derived for it alone, through a
-:class:`repro.perfcache.ReadThroughView` of the shared cache, and the
-campaign puts the base corpus's parse trees on disk once, before the
-first seed. These tests pin what follows from that: the disk tier holds
-the base corpus's entries however many seeds ran, the memory tier
-holds no per-seed findings, and every record is byte-identical to an
-uncached run -- across processes, worker pools and backends.
+Every seed analyzes a corpus derived for it alone, as a delta of the
+base corpus's analysis that parses its changed files through an
+in-process memo, and the campaign puts the base corpus's parse trees on
+disk once, before the first seed. These tests pin what follows from
+that: the disk tier holds the base corpus's entries however many seeds
+ran, the memory tier holds nothing per seed, and every record is
+byte-identical to an uncached run -- across processes, worker pools
+and backends.
 """
 
 import json
@@ -65,18 +66,6 @@ def _base_entry_files() -> set[str]:
             for namespace, key in keys}
 
 
-def _distinct_mutated_files(config: CampaignConfig) -> int:
-    """Distinct (path, text) source files the seeds changed or added."""
-    mutator = CorpusMutator(BASE_SEED, scale=SCALE)
-    base = mutator.base_view()[0].files
-    mutated = set()
-    for seed in config.seeds:
-        files = mutator.derive(seed, config.mutations_per_seed).tree.files
-        mutated |= {(path, text) for path, text in files.items()
-                    if _is_source(path) and base.get(path) != text}
-    return len(mutated)
-
-
 def test_disk_tier_holds_only_the_base_corpus(tmp_path):
     base_entries = _base_entry_files()
     entries = {}
@@ -90,10 +79,9 @@ def test_disk_tier_holds_only_the_base_corpus(tmp_path):
         nr_memory = perfcache.default_cache().nr_memory_entries
         perfcache.reset_default()
         entries[nr_seeds] = _entry_files(config.cache_dir)
-        # the generated corpus, the base parse trees and the seeds'
-        # mutated parse trees -- no per-seed findings list
-        assert nr_memory <= len(base_entries) \
-            + _distinct_mutated_files(config)
+        # the generated corpus and the base parse trees, nothing the
+        # seeds derived
+        assert nr_memory == len(base_entries)
     assert entries[3] == entries[9] == base_entries
 
 
