@@ -131,7 +131,7 @@ class MultiBackendSummary:
 
 def run_multi_backend_campaign(
         config: CampaignConfig, backend_names: list[str], *,
-        progress=None, heartbeat=None) -> MultiBackendSummary:
+        progress=None) -> MultiBackendSummary:
     """Run the same seed set against every backend and diff.
 
     *progress*, if given, is called as ``progress(backend, record)``.
@@ -162,8 +162,7 @@ def run_multi_backend_campaign(
         if progress is not None:
             sub_progress = (lambda record, _name=spec.name:
                             progress(_name, record))
-        summaries[spec.name] = run_campaign(sub, progress=sub_progress,
-                                            heartbeat=heartbeat)
+        summaries[spec.name] = run_campaign(sub, progress=sub_progress)
         records = {seed: record
                    for seed, record in load_records(sub.output).items()
                    if seed in set(config.seeds)}

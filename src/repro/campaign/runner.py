@@ -17,17 +17,15 @@ one pathological seed never kills the campaign. Results stream to
 JSONL the moment they arrive (see :mod:`repro.campaign.results`),
 which is what makes ``--resume`` lossless.
 
-Health telemetry (jobs=N): when ``heartbeat_dir`` is set, every worker
-rewrites one ``worker-<pid>.json`` beat per seed (see
-:mod:`repro.metrics.heartbeat`); the parent polls the pool with a
-timeout instead of blocking on each future, scanning the heartbeat
-directory between polls, so a wedged seed surfaces as a STALLED
-worker on the progress line until its timeout fires.
+Liveness (jobs=N): the parent polls the pool with a timeout instead
+of blocking on each future, notes when it first sees each future
+running, and writes one stderr line for any seed that has run longer
+than half its ``timeout_s`` -- so a wedged seed shows before its
+timeout fires, from facts the parent already holds.
 
 Self-healing: ``retry`` grants every failing seed a bounded number of
-re-runs (with deterministic jittered backoff when ``backoff_s`` is
-set); a hung seed is one such failure, so ``timeout_s`` plus ``retry``
-is the hang recovery. ``fault_spec`` arms a per-seed
+immediate re-runs; a hung seed is one such failure, so ``timeout_s``
+plus ``retry`` is the hang recovery. ``fault_spec`` arms a per-seed
 :class:`~repro.faults.FaultPlan` (stream = seed, attempt = retry
 number) inside :func:`_guarded_run_seed`, which is how the chaos
 harness injects worker crashes and hangs deterministically.
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import random
 import shutil
 import signal
 import sys
@@ -60,18 +57,14 @@ from repro.campaign.results import (CampaignSummary, append_record,
                                     completed_seeds, failure_record,
                                     load_records, result_record,
                                     summarize)
-from repro.metrics.heartbeat import (DEFAULT_STALL_AFTER_S, Heartbeat,
-                                     HeartbeatMonitor, WorkerHealth)
 
 #: in-flight task factor: the parent keeps at most ``jobs * 2`` seed
 #: futures queued, enough to hide result-processing latency
 INFLIGHT_FACTOR = 2
 
-#: how often the parent wakes to scan heartbeats while futures run
-HEARTBEAT_POLL_S = 2.0
-
-#: retry backoff sleeps are capped here no matter the configuration
-MAX_BACKOFF_S = 5.0
+#: how often the parent wakes to look for stalled seeds while
+#: futures run
+POLL_S = 2.0
 
 
 @dataclass
@@ -93,14 +86,13 @@ class CampaignConfig:
     #: shared on-disk analysis cache warmed by every worker; ``None``
     #: keeps caching in-process only (see :mod:`repro.perfcache`)
     cache_dir: str | None = None
-    #: worker heartbeat files land here; ``None`` disables telemetry
+    #: read by nothing (liveness comes from the pool's own futures):
+    #: ``perfbench/rep.py`` still passes it, and the benchmark's files
+    #: change only in a change of their own, which deletes this field
+    #: together with the snapshot
     heartbeat_dir: str | None = None
-    #: a worker silent for longer than this is flagged as stalled
-    stall_after_s: float = DEFAULT_STALL_AFTER_S
     #: re-run a failing seed (error/timeout/crash/fault) up to N times
     retry: int = 0
-    #: base for the deterministic jittered sleep before a retry
-    backoff_s: float = 0.0
     #: JSON form of a :class:`repro.faults.FaultSpec`; each seed run
     #: compiles it with stream=seed, attempt=retry-number
     fault_spec: dict | None = None
@@ -240,9 +232,7 @@ def _configure_cache(config: "CampaignConfig") -> bool:
 #: task then pickles only its seed instead of re-shipping the whole
 #: config (or the corpus) with every future
 _WORKER_CONFIG: CampaignConfig | None = None
-_WORKER_HEARTBEAT: Heartbeat | None = None
 _WORKER_MUTATOR: CorpusMutator | None = None
-_WORKER_SEEDS_DONE = 0
 
 
 def _init_worker(config: "CampaignConfig",
@@ -258,20 +248,12 @@ def _init_worker(config: "CampaignConfig",
     Every seed the worker later runs reuses all of it; no per-task
     setup remains.
     """
-    global _WORKER_CONFIG, _WORKER_HEARTBEAT, _WORKER_MUTATOR
-    global _WORKER_SEEDS_DONE
+    global _WORKER_CONFIG, _WORKER_MUTATOR
     # a crashtest kill must land in the *coordinating* process, never
     # nondeterministically in whichever worker wrote first
     durability.disarm_crash_points()
     _WORKER_CONFIG = config
-    _WORKER_SEEDS_DONE = 0
     _configure_cache(config)
-    if config.heartbeat_dir:
-        _WORKER_HEARTBEAT = Heartbeat(config.heartbeat_dir,
-                                      str(os.getpid()))
-        _WORKER_HEARTBEAT.beat(stage="warmup", seeds_done=0)
-    else:
-        _WORKER_HEARTBEAT = None
     _WORKER_MUTATOR = CorpusMutator(config.base_seed,
                                     scale=config.scale)
     adopted = False
@@ -282,8 +264,6 @@ def _init_worker(config: "CampaignConfig",
         # once, here, instead of lazily inside the first seed
         _WORKER_MUTATOR.base_view()
     _WORKER_MUTATOR.base_spade()
-    if _WORKER_HEARTBEAT is not None:
-        _WORKER_HEARTBEAT.beat(stage="idle", seeds_done=0)
     if config.cache_dir:
         # seeds make no cache lookups, so the worker's stats are final
         # here (lock-free: each process only ever overwrites its own
@@ -292,40 +272,44 @@ def _init_worker(config: "CampaignConfig",
 
 
 def _worker_seed(seed: int, attempt: int) -> dict:
-    """Run one seed in a warm worker, beating before and after it."""
-    global _WORKER_SEEDS_DONE
+    """Run one seed in a warm worker."""
     config = _WORKER_CONFIG
     assert config is not None, "worker initializer did not run"
-    beat = _WORKER_HEARTBEAT
-    if beat is not None:
-        beat.beat(stage="running", seed=seed,
-                  seeds_done=_WORKER_SEEDS_DONE)
-    record = _guarded_run_seed(seed, config, attempt=attempt,
-                               mutator=_WORKER_MUTATOR)
-    _WORKER_SEEDS_DONE += 1
-    if beat is not None:
-        beat.beat(stage="idle", seed=seed, seeds_done=_WORKER_SEEDS_DONE)
-    return record
+    return _guarded_run_seed(seed, config, attempt=attempt,
+                             mutator=_WORKER_MUTATOR)
+
+
+def _note_stalls(inflight: dict, started: dict, timeout_s: float) -> None:
+    """Write one stderr line for each in-flight seed that has run
+    longer than half its timeout.
+
+    "Running" is the pool's view: a future turns running when the pool
+    queues it for a worker, so a seed waiting behind busy workers
+    counts from then, and a poll may see it up to ``POLL_S`` late.
+    """
+    now = time.monotonic()
+    for future, seed in inflight.items():
+        if future not in started and future.running():
+            started[future] = now
+        since = started.get(future)
+        if since is not None and timeout_s \
+                and now - since > timeout_s / 2:
+            print(f"campaign: seed {seed} has run {now - since:.0f}s, "
+                  f"over half its {timeout_s:g}s timeout",
+                  file=sys.stderr)
+            started[future] = None
 
 
 def run_campaign(config: CampaignConfig, *,
-                 progress: Callable[[dict], None] | None = None,
-                 heartbeat: Callable[[list[WorkerHealth]], None]
-                 | None = None) -> CampaignSummary:
-    """Run (or resume) a campaign; returns the aggregate summary.
-
-    *heartbeat*, if given, is called with the latest
-    :class:`~repro.metrics.heartbeat.WorkerHealth` list every poll
-    interval of a jobs=N run (requires ``config.heartbeat_dir``).
-    """
+                 progress: Callable[[dict], None] | None = None
+                 ) -> CampaignSummary:
+    """Run (or resume) a campaign; returns the aggregate summary."""
     if config.output:
         # a previous run killed mid-write leaves .durability-*.tmp
         # residue beside the artifacts; collect anything stale enough
         # that no live writer can own it
         durability.collect_stale_tmp(os.path.dirname(config.output)
                                      or ".")
-    if config.heartbeat_dir and os.path.isdir(config.heartbeat_dir):
-        durability.collect_stale_tmp(config.heartbeat_dir)
     existing: dict[int, dict] = {}
     if config.resume and config.output:
         bad_lines: list[int] = []
@@ -363,8 +347,6 @@ def run_campaign(config: CampaignConfig, *,
     #: drives fault-plan derivation)
     work = deque(pending)
     tries: Counter = Counter()
-    backoff_rng = random.Random((config.base_seed << 16)
-                                ^ config.seed_base)
 
     def record_result(record: dict) -> None:
         seed = record["seed"]
@@ -380,10 +362,6 @@ def run_campaign(config: CampaignConfig, *,
             metrics.count("campaign", "retries", status=status)
             if progress is not None:
                 progress(record)
-            if config.backoff_s > 0:
-                jitter = 0.5 + backoff_rng.random()
-                time.sleep(min(config.backoff_s * jitter,
-                               MAX_BACKOFF_S))
             return
         records[seed] = record
         if config.output:
@@ -425,12 +403,6 @@ def run_campaign(config: CampaignConfig, *,
 
     # -- parallel mode: snapshot once, then warm one-seed tasks -------------
 
-    monitor = None
-    if config.heartbeat_dir:
-        monitor = HeartbeatMonitor(config.heartbeat_dir,
-                                   stall_after_s=config.stall_after_s)
-        monitor.clear()
-
     snapshot_path = None
     scratch_snapshot_root = None
     if pending:
@@ -456,6 +428,9 @@ def run_campaign(config: CampaignConfig, *,
                 initargs=(config, snapshot_path))
             broken = False
             inflight: dict = {}   # future -> seed
+            #: when each future was first seen running; a future drops
+            #: out once its stall line is written, so it warns once
+            started: dict = {}
             try:
                 while inflight or (work and not broken):
                     while work and not broken \
@@ -466,10 +441,11 @@ def run_campaign(config: CampaignConfig, *,
                                                  tries[seed])
                         inflight[future] = seed
                     finished, _pending = wait(
-                        inflight, timeout=HEARTBEAT_POLL_S,
+                        inflight, timeout=POLL_S,
                         return_when=FIRST_COMPLETED)
                     for future in finished:
                         seed = inflight.pop(future)
+                        started.pop(future, None)
                         try:
                             record = future.result()
                         except BrokenProcessPool:
@@ -483,8 +459,7 @@ def run_campaign(config: CampaignConfig, *,
                             record = failure_record(
                                 seed, "error", traceback.format_exc())
                         record_result(record)
-                    if heartbeat is not None and monitor is not None:
-                        heartbeat(monitor.scan())
+                    _note_stalls(inflight, started, config.timeout_s)
             finally:
                 # Join the pool: left to the interpreter's exit hook,
                 # its manager thread closes the wakeup pipe the hook

@@ -21,7 +21,7 @@ atomic file creation:
   per-seed results are deterministic and the merge step dedupes.
 
 Each shard writes its own ``<stem>.shard-K.jsonl`` via the normal
-runner (so ``--resume``, ``--retry``, heartbeats, fault plans, and
+runner (so ``--resume``, ``--retry``, stall lines, fault plans, and
 backends all compose per shard), and :func:`merge_shards` combines
 them into the campaign's single results file with dedupe and the
 torn-tail healing :func:`~repro.campaign.results.load_records` already
@@ -180,7 +180,6 @@ def run_sharded_campaign(config: CampaignConfig, shard_dir: str, *,
                          shard_size: int = DEFAULT_SHARD_SIZE,
                          stale_after_s: float = DEFAULT_STALE_CLAIM_S,
                          progress: Callable[[dict], None] | None = None,
-                         heartbeat=None,
                          log=lambda _msg: None) -> int:
     """Drain the shard queue: claim, run, mark done, repeat.
 
@@ -204,7 +203,7 @@ def run_sharded_campaign(config: CampaignConfig, shard_dir: str, *,
             if progress is not None:
                 progress(record)
 
-        run_campaign(sub, progress=_progress, heartbeat=heartbeat)
+        run_campaign(sub, progress=_progress)
         mark_done(shard_dir, shard, claim, sub.output)
         nr_run += 1
     return nr_run

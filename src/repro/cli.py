@@ -358,9 +358,6 @@ def cmd_metrics(args) -> int:
     backend, error = _resolve_backend(args.backend)
     if error:
         return _fail(error)
-    if not metrics.enabled_in_env():
-        return _fail("metrics: REPRO_METRICS=off disables the metrics "
-                     "layer")
     if metrics.active() is not None:
         return _fail("a metrics session is already active")
 
@@ -484,10 +481,7 @@ def cmd_campaign(args) -> int:
         scale=args.scale, output=args.output, resume=args.resume,
         trace_events=args.trace_events,
         cache_dir=args.cache_dir or None,
-        heartbeat_dir=args.heartbeat_dir or None,
-        stall_after_s=args.stall_after,
         retry=args.retry,
-        backoff_s=args.backoff,
         fault_spec=fault_spec.to_json() if fault_spec else None)
 
     if config.output:
@@ -530,17 +524,6 @@ def cmd_campaign(args) -> int:
               f"in {record['duration_s']:.2f}s{extra}")
         note_coverage(record)
 
-    last_health_line = None
-
-    def heartbeat(healths) -> None:
-        # one live progress line, reprinted only when it changes
-        nonlocal last_health_line
-        from repro.metrics import format_progress
-        line = format_progress(healths)
-        if line != last_health_line:
-            print(line)
-            last_health_line = line
-
     if args.shard_dir or args.merge:
         from repro.campaign.shard import (merge_shards,
                                           missing_seeds_message,
@@ -563,8 +546,6 @@ def cmd_campaign(args) -> int:
                     shard_size=args.shard_size,
                     stale_after_s=args.stale_claim,
                     progress=progress,
-                    heartbeat=heartbeat if config.heartbeat_dir
-                    else None,
                     log=print)
                 pending = pending_shards(config, args.shard_dir,
                                          shard_size=args.shard_size)
@@ -612,8 +593,7 @@ def cmd_campaign(args) -> int:
 
         try:
             multi = run_multi_backend_campaign(
-                config, list(backend_list), progress=multi_progress,
-                heartbeat=heartbeat if config.heartbeat_dir else None)
+                config, list(backend_list), progress=multi_progress)
         finally:
             if config.cache_dir:
                 from repro import perfcache
@@ -627,9 +607,7 @@ def cmd_campaign(args) -> int:
         return 0 if multi.all_ok else 1
 
     try:
-        summary = run_campaign(config, progress=progress,
-                               heartbeat=heartbeat
-                               if config.heartbeat_dir else None)
+        summary = run_campaign(config, progress=progress)
     finally:
         if config.cache_dir:
             # don't leak the campaign's disk-backed cache into the
@@ -850,32 +828,22 @@ def cmd_chaos(args) -> int:
         spec = faults.standard_spec(args.plan_seed)
     if not spec.rules:
         return _fail("chaos: the fault plan has no rules")
+    if metrics.active() is not None:
+        return _fail("a metrics session is already active")
 
-    def run(scratch: str):
-        return run_chaos(spec, scratch, seed=args.seed,
-                         rounds=args.rounds, commands=args.commands,
-                         profile_boots=args.profile_boots,
-                         campaign_seeds=args.campaign_seeds,
-                         campaign_scale=args.campaign_scale,
-                         jobs=args.jobs, retry=args.retry,
-                         backend=backend)
-
-    rendered = None
-    use_metrics = metrics.enabled_in_env() and metrics.active() is None
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
-        if use_metrics:
-            with metrics.session() as registry:
-                report = run(scratch)
-                rendered = metrics.prometheus_text(registry,
-                                                   collect=False)
-        else:
-            report = run(scratch)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch, \
+            metrics.session() as registry:
+        report = run_chaos(spec, scratch, seed=args.seed,
+                           rounds=args.rounds, commands=args.commands,
+                           profile_boots=args.profile_boots,
+                           campaign_seeds=args.campaign_seeds,
+                           campaign_scale=args.campaign_scale,
+                           jobs=args.jobs, retry=args.retry,
+                           backend=backend)
+        rendered = metrics.prometheus_text(registry, collect=False)
 
     print(format_chaos_report(report))
     if args.metrics_output:
-        if rendered is None:
-            return _fail("chaos: --metrics-output needs the metrics "
-                         "layer (REPRO_METRICS=off disables it)")
         from repro import durability
         durability.atomic_write_text(args.metrics_output, rendered)
         print(f"wrote prometheus metrics to {args.metrics_output}")
@@ -1000,8 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
                "process-wide\n"
                "  REPRO_CACHE_DIR=DIR    enable the shared on-disk "
                "cache tier at DIR\n"
-               "  REPRO_METRICS=off      disable the metrics registry "
-               "process-wide\n"
                "  REPRO_DURABILITY=MODE  atomic|fsync: how every "
                "artifact is written (default atomic)")
     parser.add_argument("--version", action="version",
@@ -1056,7 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="mutations applied per seed")
     campaign.add_argument("--timeout", type=_positive_float,
                           default=120.0, metavar="SECONDS",
-                          help="per-seed timeout")
+                          help="per-seed timeout (at --jobs > 1, a "
+                               "seed running past half of it is named "
+                               "on stderr)")
     campaign.add_argument("--scale", type=_positive_float, default=1.0,
                           help="corpus size factor (e.g. 0.1 for a "
                                "fast smoke campaign)")
@@ -1078,22 +1046,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shared on-disk analysis cache workers "
                                "warm from (pass '' to disable; "
                                "default: %(default)s)")
-    campaign.add_argument("--heartbeat-dir",
-                          default="campaign/heartbeats", metavar="DIR",
-                          help="worker heartbeat files for the live "
-                               "progress line (pass '' to disable; "
-                               "default: %(default)s)")
-    campaign.add_argument("--stall-after", type=_positive_float,
-                          default=60.0, metavar="SECONDS",
-                          help="flag a worker as stalled after this "
-                               "much heartbeat silence")
     campaign.add_argument("--retry", type=int, default=0, metavar="N",
                           help="re-run a failing seed (error, timeout, "
                                "crash, injected fault) up to N times")
-    campaign.add_argument("--backoff", type=float, default=0.0,
-                          metavar="SECONDS",
-                          help="base for the deterministic jittered "
-                               "sleep before each retry")
     campaign.add_argument("--fault-plan", metavar="PLAN.json",
                           help="arm a repro.faults plan inside every "
                                "worker (stream=seed, attempt=retry "

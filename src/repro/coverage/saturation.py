@@ -5,7 +5,7 @@ the signal that tells an operator (and, next, a coverage-guided
 mutator) that more random seeds are no longer buying coverage. The
 tracker is a tiny streaming consumer of per-seed novelty counts; the
 formatter produces the one-line view the campaign progress stream
-prints next to the worker STALLED flags.
+prints between its per-seed lines.
 """
 
 from __future__ import annotations

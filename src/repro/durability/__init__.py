@@ -2,7 +2,7 @@
 
 Every artifact this reproduction values -- campaign results JSONL, the
 per-backend CoverageMap, the mmap'd corpus snapshot, shard claims,
-heartbeats, perfcache entries, BENCH reports and history -- goes to
+perfcache entries, BENCH reports and history -- goes to
 disk through this package, one way per job:
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` /

@@ -146,8 +146,7 @@ def _campaign_argv(config: CrashtestConfig, rundir: str, *,
             "--mutations", str(config.mutations),
             "--trace-events", str(config.trace_events),
             "--output", os.path.join(rundir, "results.jsonl"),
-            "--cache-dir", os.path.join(rundir, "cache"),
-            "--heartbeat-dir", os.path.join(rundir, "heartbeats")]
+            "--cache-dir", os.path.join(rundir, "cache")]
     if config.backend:
         argv += ["--backend", config.backend]
     if resume:

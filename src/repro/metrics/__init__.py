@@ -18,9 +18,7 @@ only at snapshot time::
         ...                            # run a workload
         text = metrics.export.prometheus_text(registry)
 
-Set ``REPRO_METRICS=off`` (or ``0``/``false``/``no``) to force the
-whole layer off: ``session()`` then yields ``None`` and ``install()``
-refuses to install.
+Only ``repro-dma metrics`` and ``repro-dma chaos`` install one.
 
 The most recently booted :class:`~repro.sim.kernel.Kernel` owns the
 registry's ``kernel`` collector slot (mirroring how the flight
@@ -32,7 +30,6 @@ registry, exactly like ``repro-dma trace`` does.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from repro.errors import MetricsError
@@ -42,44 +39,27 @@ from repro.metrics.collectors import (dkasan_collector, kernel_collector,
                                       publish_kernel, publish_perfcache)
 from repro.metrics.export import (dump_json, dump_prometheus, json_record,
                                   prometheus_text)
-from repro.metrics.heartbeat import (DEFAULT_STALL_AFTER_S, Heartbeat,
-                                     HeartbeatMonitor, WorkerHealth,
-                                     format_progress)
 from repro.metrics.registry import (SUBSYSTEMS, Counter, Gauge, Histogram,
                                     MetricsRegistry, Sample)
 
 __all__ = [
-    "Counter", "DEFAULT_STALL_AFTER_S", "Gauge", "Heartbeat",
-    "HeartbeatMonitor", "Histogram", "MetricsError", "MetricsRegistry",
-    "SUBSYSTEMS", "Sample", "WorkerHealth", "active", "count",
-    "dkasan_collector", "dump_json", "dump_prometheus", "enabled_in_env",
-    "export", "format_progress", "install", "json_record",
+    "Counter", "Gauge", "Histogram", "MetricsError", "MetricsRegistry",
+    "SUBSYSTEMS", "Sample", "active", "count",
+    "dkasan_collector", "dump_json", "dump_prometheus",
+    "export", "install", "json_record",
     "kernel_collector", "observe", "observe_dkasan", "observe_kernel",
     "perfcache_collector", "prometheus_text", "publish_dkasan",
     "publish_kernel", "publish_perfcache", "session", "set_gauge", "uninstall",
 ]
-
-_OFF_VALUES = ("off", "0", "false", "no")
 
 #: The installed registry. ``None`` (the default) means metrics are
 #: off and every helper below is a near-zero-cost no-op.
 _active: MetricsRegistry | None = None
 
 
-def enabled_in_env(environ=os.environ) -> bool:
-    """False when ``REPRO_METRICS`` disables the whole layer."""
-    return environ.get("REPRO_METRICS", "").lower() not in _OFF_VALUES
-
-
-def install(registry: MetricsRegistry | None = None
-            ) -> MetricsRegistry | None:
-    """Install *registry* (or a fresh one) process-wide.
-
-    Returns ``None`` without installing when ``REPRO_METRICS=off``.
-    """
+def install(registry: MetricsRegistry | None = None) -> MetricsRegistry:
+    """Install *registry* (or a fresh one) process-wide."""
     global _active
-    if not enabled_in_env():
-        return None
     if _active is not None:
         raise MetricsError("a metrics registry is already installed")
     if registry is None:
@@ -103,13 +83,12 @@ def active() -> MetricsRegistry | None:
 
 @contextmanager
 def session(registry: MetricsRegistry | None = None):
-    """Install a registry for the ``with`` body (None when env-off)."""
+    """Install a registry for the ``with`` body."""
     installed = install(registry)
     try:
         yield installed
     finally:
-        if installed is not None:
-            uninstall()
+        uninstall()
 
 
 # -- binding hooks (called by subsystem constructors) ---------------------

@@ -391,7 +391,7 @@ def test_cli_campaign_merge_surfaces_missing_seeds(tmp_path, capsys):
     code = main(["campaign", "--merge", "--seeds", "4",
                  "--shard-size", "2", "--scale", str(SCALE),
                  "--mutations", "3", "--output", output,
-                 "--cache-dir", "", "--heartbeat-dir", ""])
+                 "--cache-dir", ""])
     captured = capsys.readouterr()
     assert "missing 2 seed(s): 3-4" in captured.err
     # merge still succeeds over what is there: the present records are

@@ -354,17 +354,6 @@ def test_torn_claim_counts_as_stale(tmp_path):
     assert "unknown" in messages[0]
 
 
-def test_heartbeat_monitor_warns_once_per_torn_file(tmp_path):
-    from repro.metrics.heartbeat import HeartbeatMonitor
-    (tmp_path / "worker-99.json").write_text('{"pid": 99, "se')
-    monitor = HeartbeatMonitor(str(tmp_path))
-    with pytest.warns(RuntimeWarning, match="torn/partial"):
-        assert monitor.scan() == []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert monitor.scan() == []       # second scan stays quiet
-
-
 # -- truncate-at-every-byte-offset recovery ----------------------------------
 
 

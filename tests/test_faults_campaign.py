@@ -168,6 +168,28 @@ def test_timeout_and_retry_recover_hung_seeds(tmp_path, jobs):
         findings_digest(load_records(clean.output))
 
 
+def test_pool_names_a_seed_past_half_its_timeout(tmp_path, monkeypatch,
+                                                capsys):
+    import repro.campaign.runner as runner
+    monkeypatch.setattr(runner, "POLL_S", 0.05)
+    hang = FaultSpec([SiteRule("campaign.worker.hang", probability=0.5,
+                               on_attempt=0, arg=30.0)], seed=4)
+    (hung,) = [seed for seed in (1, 2, 3, 4)
+               if hang.compile(stream=seed).poke("campaign.worker.hang")]
+    config = _config(tmp_path, nr_seeds=4, jobs=2, scale=0.06,
+                     trace_events=0, fault_spec=hang.to_json(), retry=1,
+                     timeout_s=3.0)
+    assert run_campaign(config).all_ok
+    stalls = [line for line in capsys.readouterr().err.splitlines()
+              if "over half its" in line]
+    assert len(stalls) == 1, stalls
+    assert stalls[0].startswith(f"campaign: seed {hung} has run ")
+    lines = [json.loads(line)
+             for line in open(config.output).read().splitlines()]
+    tries = [line["status"] for line in lines if line["seed"] == hung]
+    assert tries == ["timeout", "ok"]
+
+
 # -- the chaos harness -------------------------------------------------------
 
 def test_chaos_standard_plan_recovers_everywhere(tmp_path):

@@ -1,7 +1,6 @@
-"""Unit tests for the metrics registry, exporters, and heartbeats."""
+"""Unit tests for the metrics registry and exporters."""
 
 import json
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro import metrics
 from repro.errors import MetricsError
-from repro.metrics import (Heartbeat, HeartbeatMonitor, Histogram,
-                           MetricsRegistry, format_progress)
+from repro.metrics import Histogram, MetricsRegistry
 from repro.metrics.export import json_record, prometheus_text
 from repro.metrics.registry import pow2_bucket
 
@@ -138,15 +136,6 @@ def test_session_installs_and_uninstalls():
     assert metrics.active() is None
 
 
-def test_env_off_disables_layer(monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS", "off")
-    assert not metrics.enabled_in_env()
-    assert metrics.install() is None
-    assert metrics.active() is None
-    with metrics.session() as registry:
-        assert registry is None
-
-
 def test_helpers_are_noops_when_inactive():
     metrics.count("dma", "maps")
     metrics.observe("spade", "analyze_seconds", 0.1)
@@ -217,48 +206,3 @@ def test_samples_are_sorted_subsystem_then_name():
                      ("iommu", "iotlb_lookups"),
                      ("mem", "free_pages"),
                      ("spade", "analyze_seconds")]
-
-
-# -- heartbeats --------------------------------------------------------------------
-
-
-def test_heartbeat_roundtrip(tmp_path):
-    hb = Heartbeat(str(tmp_path), "w7")
-    hb.beat(stage="running", seed=13, seeds_done=2, attempt=1)
-    (health,) = HeartbeatMonitor(str(tmp_path)).scan()
-    assert health.worker_id == "w7"
-    assert health.stage == "running"
-    assert health.seed == 13
-    assert health.seeds_done == 2
-    assert health.extra == {"attempt": 1}
-    assert not health.stalled
-
-
-def test_monitor_flags_stalled_running_worker(tmp_path):
-    Heartbeat(str(tmp_path), "w1").beat(stage="running", seed=9)
-    Heartbeat(str(tmp_path), "w2").beat(stage="idle", seeds_done=3)
-    monitor = HeartbeatMonitor(str(tmp_path), stall_after_s=5.0)
-    healths = monitor.scan(now=time.time() + 60)
-    by_id = {h.worker_id: h for h in healths}
-    assert by_id["w1"].stalled              # silent while running
-    assert not by_id["w2"].stalled          # idle workers never stall
-    line = format_progress(healths)
-    assert "1 STALLED" in line
-    assert "seed 9" in line
-    assert "3 seeds done" in line
-
-
-def test_monitor_skips_torn_files(tmp_path):
-    Heartbeat(str(tmp_path), "ok").beat(stage="idle")
-    (tmp_path / "worker-torn.json").write_text("{not json")
-    healths = HeartbeatMonitor(str(tmp_path)).scan()
-    assert [h.worker_id for h in healths] == ["ok"]
-
-
-def test_monitor_clear_and_empty_progress(tmp_path):
-    hb = Heartbeat(str(tmp_path), "w1")
-    hb.beat()
-    monitor = HeartbeatMonitor(str(tmp_path))
-    monitor.clear()
-    assert monitor.scan() == []
-    assert format_progress([]) == "workers: none reporting"

@@ -1,8 +1,7 @@
-"""Metrics across the stack: trace cross-checks, campaign telemetry,
-deterministic exports, and the ``repro-dma metrics`` CLI."""
+"""Metrics across the stack: trace cross-checks, deterministic
+exports, and the ``repro-dma metrics`` CLI."""
 
 import json
-import time
 
 import pytest
 
@@ -108,89 +107,6 @@ def test_last_boot_owns_the_kernel_collector_slot():
     assert _value(samples, "net", "rx_packets", device="eth0") == 0
     assert _value(samples, "mem", "phys_bytes") == \
         second.phys.size_bytes
-
-
-# -- campaign heartbeat telemetry --------------------------------------------------
-
-
-def test_campaign_reports_heartbeat_progress(tmp_path):
-    from repro.campaign import CampaignConfig, run_campaign
-
-    config = CampaignConfig(nr_seeds=2, jobs=2, scale=0.05,
-                            mutations_per_seed=2, trace_events=0,
-                            output=str(tmp_path / "results.jsonl"),
-                            heartbeat_dir=str(tmp_path / "hb"))
-    snapshots = []
-    summary = run_campaign(config, heartbeat=snapshots.append)
-    assert summary.nr_seeds == 2
-    assert snapshots, "heartbeat callback never fired"
-    # every worker beats before returning a seed, so the scan after
-    # the last result counts both seeds
-    assert sum(h.seeds_done for h in snapshots[-1]) == 2
-    assert not any(h.stalled for h in snapshots[-1])
-
-
-def test_long_batch_heartbeats_per_seed_in_one_worker(tmp_path):
-    """A worker running a seed range one task at a time beats
-    ``running`` as each seed starts and ``idle`` as it ends, so a long
-    healthy run never reads as a stall."""
-    from repro.campaign.runner import _init_worker, _worker_seed
-    from repro.metrics.heartbeat import HeartbeatMonitor
-
-    from repro.campaign import CampaignConfig
-
-    hb_dir = str(tmp_path / "hb")
-    config = CampaignConfig(nr_seeds=4, jobs=1, scale=0.05,
-                            mutations_per_seed=2, trace_events=0,
-                            output=None, heartbeat_dir=hb_dir)
-    seen = []
-
-    class SpyHeartbeat:
-        worker_id = "spy"
-
-        def beat(self, **fields):
-            seen.append(fields)
-
-    import repro.campaign.runner as runner_module
-    _init_worker(config)
-    runner_module._WORKER_HEARTBEAT = SpyHeartbeat()
-    records = [_worker_seed(seed, 0) for seed in (1, 2, 3, 4)]
-    assert [r["seed"] for r in records] == [1, 2, 3, 4]
-    assert [(f["stage"], f["seed"], f["seeds_done"]) for f in seen] == [
-        (stage, seed, seed - (stage == "running"))
-        for seed in (1, 2, 3, 4) for stage in ("running", "idle")]
-    # and the real heartbeat file from _init_worker is fresh, so the
-    # monitor reports a healthy worker
-    monitor = HeartbeatMonitor(hb_dir, stall_after_s=60.0)
-    assert not any(h.stalled for h in monitor.scan())
-
-
-def test_campaign_flags_stalled_worker(tmp_path):
-    """A worker mid-seed that goes silent past the threshold is
-    flagged on the progress line."""
-    from repro.metrics.heartbeat import Heartbeat, HeartbeatMonitor
-
-    hb_dir = str(tmp_path / "hb")
-    Heartbeat(hb_dir, "4242").beat(stage="running", seed=17)
-    monitor = HeartbeatMonitor(hb_dir, stall_after_s=10.0)
-    healths = monitor.scan(now=time.time() + 120)
-    assert [h.stalled for h in healths] == [True]
-    line = metrics.format_progress(healths)
-    assert "STALLED" in line
-    assert "seed 17" in line
-
-
-def test_cli_campaign_prints_progress_line(tmp_path, capsys):
-    code = main(["campaign", "--seeds", "2", "--jobs", "2",
-                 "--scale", "0.05", "--mutations", "2",
-                 "--trace-events", "0",
-                 "--output", str(tmp_path / "results.jsonl"),
-                 "--cache-dir", "",
-                 "--heartbeat-dir", str(tmp_path / "hb")])
-    out = capsys.readouterr().out
-    assert code in (0, 1)   # disagreements are a result, not a failure
-    assert "workers:" in out
-    assert "seeds done" in out
 
 
 # -- deterministic exports ---------------------------------------------------------
@@ -316,10 +232,3 @@ def test_cli_metrics_json_format(capsys):
     doc = json.loads(payload[:payload.rindex("}") + 1])
     assert doc["schema"] == "repro.metrics/1"
     assert doc["seed"] == 5
-
-
-def test_cli_metrics_respects_env_off(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_METRICS", "off")
-    assert main(["metrics", "--workload", "compile-ping",
-                 "--rounds", "1"]) == 2
-    assert "REPRO_METRICS=off" in capsys.readouterr().err

@@ -72,7 +72,7 @@ def test_disk_tier_holds_only_the_base_corpus(tmp_path):
     for nr_seeds in (3, 9):
         config = CampaignConfig(
             nr_seeds=nr_seeds, jobs=1, scale=SCALE, base_seed=BASE_SEED,
-            trace_events=0, heartbeat_dir=None,
+            trace_events=0,
             output=str(tmp_path / f"seeds-{nr_seeds}.jsonl"),
             cache_dir=str(tmp_path / f"cache-{nr_seeds}"))
         assert run_campaign(config).all_ok
@@ -90,8 +90,7 @@ def _campaign(cwd, output: str, *args: str, env: dict | None = None,
     """``repro-dma campaign`` on 3 seeds in a fresh process (*script*,
     if given, runs first in that process)."""
     argv = ["campaign", "--seeds", "3", "--scale", str(SCALE),
-            "--mutations", "3", "--heartbeat-dir", "", "--output", output,
-            *args]
+            "--mutations", "3", "--output", output, *args]
     code = (script or "") + (
         "import sys\nfrom repro.cli import main\n"
         f"sys.exit(main({argv!r}))\n")
@@ -117,18 +116,21 @@ def _identity(path: str) -> tuple[str, dict]:
              for seed, record in records.items()})
 
 
-# prints the parse trees the process computed, as (path, sha256)
+# prints the parse trees the process computed, as (path, sha256),
+# whole files apart from per-declaration pieces
 _RECORD_PARSES = """\
 import atexit, json
 from repro import perfcache
 from repro.core.spade import cindex
-parsed = set()
+parsed = {"whole": set(), "piece": set()}
 _parse_file = cindex.parse_file
-def _recording(path, content):
-    parsed.add((path, perfcache.file_digest(content)))
-    return _parse_file(path, content)
+def _recording(path, content, *, piece=False):
+    parsed["piece" if piece else "whole"].add(
+        (path, perfcache.file_digest(content)))
+    return _parse_file(path, content, piece=piece)
 cindex.parse_file = _recording
-atexit.register(lambda: print("PARSED", json.dumps(sorted(parsed))))
+atexit.register(lambda: print("PARSED", json.dumps(
+    {kind: sorted(pairs) for kind, pairs in parsed.items()})))
 """
 
 
@@ -152,13 +154,14 @@ def test_seed_records_identical_across_cache_states(tmp_path):
     assert _identity(str(tmp_path / "lanes.arm-smmuv3.jsonl")) == \
         _identity(str(tmp_path / "arm-off.jsonl"))
 
-    # the second process found every base-corpus tree on disk
-    parsed = {tuple(pair) for pair in
-              json.loads(warm.stdout.split("PARSED")[-1])}
+    # the second process found every base-corpus tree on disk, and
+    # parsed its seeds' changed files per declaration
+    parsed = json.loads(warm.stdout.split("PARSED")[-1])
+    whole = {tuple(pair) for pair in parsed["whole"]}
     base = CorpusMutator(BASE_SEED, scale=SCALE).base_view()[0].files
-    assert parsed
+    assert parsed["piece"]
     assert not {(path, perfcache.file_digest(text))
-                for path, text in base.items()} & parsed
+                for path, text in base.items()} & whole
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -167,7 +170,7 @@ def test_repro_cache_off_turns_off_a_campaign_cache_dir(tmp_path,
     def campaign(name: str) -> CampaignConfig:
         config = CampaignConfig(
             nr_seeds=3, jobs=jobs, scale=SCALE, base_seed=BASE_SEED,
-            mutations_per_seed=3, heartbeat_dir=None,
+            mutations_per_seed=3,
             output=str(tmp_path / f"{name}.jsonl"),
             cache_dir=str(tmp_path / f"{name}-cache"))
         assert run_campaign(config).all_ok
