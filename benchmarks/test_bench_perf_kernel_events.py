@@ -2,10 +2,15 @@
 
 The two structures the perf pass rewrote: the IOTLB (plain-dict LRU,
 O(1) move-to-end) and the page_frag cache (dict-keyed fragments, O(1)
-free). Tracing is off, so these also pin the no-op tracepoint cost.
+free). The IOTLB rate is taken once per registered backend model, at
+one capacity, so it compares set geometry and replacement policy side
+by side. Tracing is off, so these also pin the no-op tracepoint cost.
 """
 
+import pytest
+
 from repro import trace
+from repro.backends import backend_names, resolve_backend
 from repro.iommu.domain import IovaEntry
 from repro.iommu.iotlb import Iotlb
 from repro.iommu.perms import DmaPerm
@@ -17,13 +22,19 @@ from repro.mem.virt import IdentityTranslator
 NR_EVENTS = 50_000
 
 
-def test_iotlb_event_rate(benchmark):
+@pytest.mark.parametrize("backend", backend_names())
+def test_iotlb_event_rate(benchmark, backend):
     assert trace.active() is None
+    spec = resolve_backend(backend)
     entries = [IovaEntry(pfn, pfn + 1, DmaPerm.BIDIRECTIONAL)
                for pfn in range(512)]
 
     def iotlb_round():
-        iotlb = Iotlb(capacity=256)
+        # capacity pinned across backends: the rate measures each
+        # model's set geometry and replacement policy, not its size
+        iotlb = Iotlb(capacity=256,
+                      associativity=spec.iotlb_associativity,
+                      replacement=spec.iotlb_replacement)
         for i in range(NR_EVENTS):
             entry = entries[i % 512]
             if iotlb.lookup(7, entry.iova_pfn) is None:

@@ -170,15 +170,13 @@ def run_multi_backend_campaign(
         digests[spec.name] = findings_digest(records)
         outputs[spec.name] = sub.output
 
-    if config.coverage:
-        # one combined CoverageMap across every backend lane (each
-        # lane's own map already rides beside its results file): the
-        # cross-backend feature-set diff `coverage diff` consumes
-        combined = CoverageMap()
-        for name in sorted(records_by_backend):
-            combined.merge(
-                CoverageMap.from_records(records_by_backend[name]))
-        combined.save(coverage_map_path(config.output))
+    # one combined CoverageMap across every backend lane (each lane's
+    # own map already rides beside its results file): the
+    # cross-backend feature-set diff `coverage diff` consumes
+    combined = CoverageMap()
+    for name in sorted(records_by_backend):
+        combined.merge(CoverageMap.from_records(records_by_backend[name]))
+    combined.save(coverage_map_path(config.output))
 
     cross = cross_backend_disagreements(records_by_backend)
     cross_output = cross_results_path(config.output)

@@ -99,10 +99,6 @@ class CampaignConfig:
     #: IOMMU backend model for the dynamic replay; ``None`` (or
     #: ``"intel-vtd"``) is the pre-backend default path
     backend: str | None = None
-    #: attach a deterministic per-seed coverage signature to every
-    #: result and accumulate the campaign CoverageMap (see
-    #: :mod:`repro.coverage`)
-    coverage: bool = True
 
     @property
     def seeds(self) -> list[int]:
@@ -194,8 +190,7 @@ def _guarded_run_seed(seed: int, config: "CampaignConfig", *,
                               scale=config.scale, phys_mb=config.phys_mb,
                               trace_events=config.trace_events,
                               backend=config.backend,
-                              mutator=mutator,
-                              coverage=config.coverage)
+                              mutator=mutator)
     except _SeedTimeout:
         record = failure_record(seed, "timeout",
                                 f"exceeded {config.timeout_s}s",
@@ -330,14 +325,13 @@ def run_campaign(config: CampaignConfig, *,
     #: the campaign-wide CoverageMap, accumulated as results land and
     #: persisted beside the results file; resumed records are folded
     #: in up front so the map always covers every completed seed
-    cover = CoverageMap() if config.coverage else None
+    cover = CoverageMap()
     nr_novelty_free = 0   # consecutive completed seeds with 0 novelty
-    if cover is not None:
-        for seed in sorted(records):
-            cover.observe_record(records[seed])
+    for seed in sorted(records):
+        cover.observe_record(records[seed])
 
     def finish() -> CampaignSummary:
-        if cover is not None and config.output:
+        if config.output:
             cover.save(coverage_map_path(config.output))
         return summarize(records)
 
@@ -370,7 +364,7 @@ def run_campaign(config: CampaignConfig, *,
         if record.get("disagreements"):
             metrics.count("campaign", "disagreements",
                           len(record["disagreements"]))
-        if cover is not None and record.get("coverage"):
+        if record.get("coverage"):
             nonlocal nr_novelty_free
             novel = cover.observe_record(record)
             nr_novelty_free = 0 if novel else nr_novelty_free + 1

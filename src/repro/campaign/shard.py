@@ -357,7 +357,6 @@ def merge_shards(config: CampaignConfig, *,
                 for seed in sorted(merged)))
     in_range = {seed: record for seed, record in merged.items()
                 if seed in config.seeds}
-    if config.coverage:
-        CoverageMap.from_records(in_range).save(
-            coverage_map_path(config.output))
+    CoverageMap.from_records(in_range).save(
+        coverage_map_path(config.output))
     return summarize(in_range)

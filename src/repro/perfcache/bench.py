@@ -1,111 +1,134 @@
 """The tracked perf-benchmark driver behind ``repro-dma bench``.
 
-Three benchmark families, one machine-readable report
+Two benchmark families, one machine-readable report
 (``BENCH_perf.json``):
 
-* **spade** -- one SPADE pass over the unmutated Linux-5.0-shaped
-  corpus, timed cold (empty cache, disk writes included), warm from
-  the disk tier alone (a fresh process's view), and warm from the
-  in-process tier; plus the uncached baseline. The report carries a
-  ``identical`` bit: the cached findings must encode to byte-identical
-  JSON as the uncached ones, or the cache is wrong, not fast.
+* **spade** -- :func:`spade_tiers`: one SPADE pass over the unmutated
+  Linux-5.0-shaped corpus per tier -- uncached, cold (empty cache,
+  disk writes included), warm from the disk tier alone (a fresh
+  process's view) and warm from the in-process tier. Every cached
+  tier's findings must encode to byte-identical JSON, and render the
+  identical Table 2, as the uncached ones, or the cache is wrong, not
+  fast. ``repro-dma cache verify`` runs the same function and prints
+  its verdict.
 * **campaign** -- differential-campaign throughput scaling: one lane
   per ``jobs`` value (``{1, 2, N}`` from the CLI) over a shared
   on-disk cache, each parallel lane recording its ``parallel_ratio``
   (seeds/s over the jobs=1 lane). The top lane's ratio is the
   ``campaign_parallel_ratio`` that ``bench --check`` hard-gates.
-* **kernel** -- event rates of the two hottest simulator paths the
-  perf work touched: IOTLB lookup/insert and page_frag alloc/free.
-* **backends** -- the IOTLB rate per registered IOMMU backend model,
-  so one artifact shows every backend's hot-path cost side by side.
 
-Timing uses ``time.perf_counter``; every family repeats ``rounds``
-times and reports the best round (standard for wall-clock benches:
-the minimum is the least-noisy estimate of the true cost).
+Timing uses ``time.perf_counter``; each tier and lane runs once, and
+``bench --check`` judges a run against the rolling median of earlier
+comparable runs (:mod:`repro.perfcache.history`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 
 from repro import perfcache
 
 #: bump when the report layout changes
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 
 DEFAULT_OUTPUT = "BENCH_perf.json"
 
-
-def _best(fn, rounds: int) -> float:
-    best = None
-    for _ in range(max(1, rounds)):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+#: SPADE's cached tiers, in the order :func:`spade_tiers` runs them
+CACHED_TIERS = ("cold", "warm_disk", "warm_memory")
 
 
-# -- SPADE cold vs warm ------------------------------------------------------
+# -- SPADE's cache tiers -----------------------------------------------------
 
-def bench_spade(*, scale: float = 1.0, corpus_seed: int = 2021,
-                rounds: int = 1) -> dict:
-    """Cold/warm/uncached SPADE timings plus the differential bit."""
+def _run_tiers(tree, cache_dir: str) -> tuple[dict, dict, dict]:
+    """Seconds and findings per tier, plus the warm-disk cache stats."""
     from repro.core.spade.analyzer import Spade
+
+    seconds, findings = {}, {}
+
+    def run(tier: str) -> None:
+        start = time.perf_counter()
+        findings[tier] = Spade(tree).analyze()
+        seconds[tier] = time.perf_counter() - start
+
+    perfcache.configure(enabled=False)
+    run("uncached")
+    # cold: empty cache, disk writes on the critical path
+    perfcache.configure(cache_dir)
+    run("cold")
+    # warm from disk only: a fresh PerfCache (= fresh process) over
+    # the same directory, empty in-process tier
+    perfcache.configure(cache_dir)
+    run("warm_disk")
+    disk_stats = perfcache.default_cache().stats.to_json()
+    # warm from the in-process tier (same cache object again)
+    run("warm_memory")
+    return seconds, findings, disk_stats
+
+
+def spade_tiers(*, scale: float = 1.0, corpus_seed: int = 2021,
+                cache_dir: str | None = None) -> dict:
+    """Time SPADE's uncached and cached tiers; diff each cached tier.
+
+    ``mismatches`` names every cached tier whose findings or Table 2
+    differ from the uncached run's, as ``"<tier> findings"`` or
+    ``"<tier> Table 2"``; empty means the cache is exact. Without
+    *cache_dir* the cached tiers run in a throwaway directory. With
+    one, they use it as found (so its "cold" tier is only as cold as
+    the directory), and the run's hit/miss totals are persisted there
+    for ``cache stats``.
+    """
+    from repro.core.spade.findings import Table2Stats
+    from repro.core.spade.report import format_table2
     from repro.corpus.generate import CorpusGenerator
     from repro.corpus.linux50 import scaled_composition
     from repro.perfcache.codec import encode_findings
 
-    composition = scaled_composition(scale)
     tree, _manifest = CorpusGenerator(
-        seed=corpus_seed, composition=composition).generate()
+        seed=corpus_seed,
+        composition=scaled_composition(scale)).generate()
+    try:
+        if cache_dir is None:
+            with tempfile.TemporaryDirectory(
+                    prefix="repro-spade-tiers-") as scratch:
+                seconds, findings, disk_stats = _run_tiers(tree, scratch)
+        else:
+            seconds, findings, disk_stats = _run_tiers(tree, cache_dir)
+            perfcache.default_cache().persist_stats()
+    finally:
+        perfcache.reset_default()
 
-    def timed(run) -> tuple[float, list]:
-        start = time.perf_counter()
-        findings = run()
-        return time.perf_counter() - start, findings
+    def rendered(tier: str) -> tuple[str, str]:
+        return (json.dumps(encode_findings(findings[tier])),
+                format_table2(Table2Stats.from_findings(findings[tier])))
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
-        # uncached baseline (caching off entirely)
-        perfcache.configure(enabled=False)
-        uncached_s, baseline = timed(lambda: Spade(tree).analyze())
+    expected_findings, expected_table = rendered("uncached")
+    mismatches = []
+    for tier in CACHED_TIERS:
+        tier_findings, tier_table = rendered(tier)
+        if tier_findings != expected_findings:
+            mismatches.append(f"{tier} findings")
+        if tier_table != expected_table:
+            mismatches.append(f"{tier} Table 2")
 
-        # cold: empty cache, disk writes on the critical path
-        perfcache.configure(cache_dir)
-        cold_s, _ = timed(lambda: Spade(tree).analyze())
-
-        # warm from disk only: a fresh PerfCache (= fresh process)
-        # over the same directory, empty in-process tier
-        perfcache.configure(cache_dir)
-        warm_disk_s, warm_findings = timed(lambda: Spade(tree).analyze())
-        disk_stats = perfcache.default_cache().stats.to_json()
-
-        # warm from the in-process tier (same cache object again)
-        warm_memory_s, _ = timed(lambda: Spade(tree).analyze())
-
-        identical = json.dumps(encode_findings(warm_findings)) == \
-            json.dumps(encode_findings(baseline))
-    perfcache.reset_default()
+    def speedup(tier: str) -> float:
+        return round(seconds["cold"] / seconds[tier], 2) \
+            if seconds[tier] else float("inf")
 
     return {
         "scale": scale,
         "corpus_seed": corpus_seed,
         "nr_files": len(tree.files),
-        "nr_findings": len(baseline),
-        "uncached_s": round(uncached_s, 6),
-        "cold_s": round(cold_s, 6),
-        "warm_disk_s": round(warm_disk_s, 6),
-        "warm_memory_s": round(warm_memory_s, 6),
-        "speedup_disk": round(cold_s / warm_disk_s, 2)
-        if warm_disk_s else float("inf"),
-        "speedup_memory": round(cold_s / warm_memory_s, 2)
-        if warm_memory_s else float("inf"),
+        "nr_findings": len(findings["uncached"]),
+        "uncached_s": round(seconds["uncached"], 6),
+        "cold_s": round(seconds["cold"], 6),
+        "warm_disk_s": round(seconds["warm_disk"], 6),
+        "warm_memory_s": round(seconds["warm_memory"], 6),
+        "speedup_disk": speedup("warm_disk"),
+        "speedup_memory": speedup("warm_memory"),
         "warm_disk_stats": disk_stats,
-        "identical": identical,
+        "mismatches": mismatches,
     }
 
 
@@ -153,127 +176,32 @@ def bench_campaign(*, nr_seeds: int = 16, scale: float = 0.1,
     return {"scale": scale, "runs": runs}
 
 
-# -- per-backend hot-path rates ----------------------------------------------
-
-def bench_backends(*, rounds: int = 3, nr_events: int = 10_000) -> dict:
-    """IOTLB events/second for every registered backend model.
-
-    A deliberately small event budget: this section exists so one
-    BENCH_perf.json shows the per-backend hot-path cost side by side,
-    not to gate (the default backend's full-size rate in ``kernel``
-    does the gating).
-    """
-    from repro.backends import backend_names, resolve_backend
-    from repro.iommu.domain import IovaEntry
-    from repro.iommu.iotlb import Iotlb
-    from repro.iommu.perms import DmaPerm
-
-    entries = [IovaEntry(pfn, pfn + 1, DmaPerm.BIDIRECTIONAL)
-               for pfn in range(512)]
-    models = {}
-    for name in backend_names():
-        spec = resolve_backend(name)
-
-        def iotlb_round() -> None:
-            iotlb = Iotlb(capacity=256,
-                          associativity=spec.iotlb_associativity,
-                          replacement=spec.iotlb_replacement)
-            for i in range(nr_events):
-                entry = entries[i % 512]
-                if iotlb.lookup(7, entry.iova_pfn) is None:
-                    iotlb.insert(7, entry)
-
-        best = _best(iotlb_round, rounds)
-        models[name] = {
-            "iotlb_best_s": round(best, 6),
-            "iotlb_events_per_s": round(nr_events / best),
-        }
-    return {"nr_events": nr_events, "models": models}
-
-
-# -- kernel-simulation event rates -------------------------------------------
-
-def bench_kernel_events(*, rounds: int = 3, nr_events: int = 50_000,
-                        backend: str | None = None) -> dict:
-    """Best-round events/second for the IOTLB and page_frag hot paths."""
-    from repro.backends import resolve_backend
-    from repro.iommu.domain import IovaEntry
-    from repro.iommu.iotlb import Iotlb
-    from repro.iommu.perms import DmaPerm
-    from repro.mem.buddy import BuddyAllocator
-    from repro.mem.page_frag import PageFragCache
-    from repro.mem.phys import PhysicalMemory
-    from repro.mem.virt import IdentityTranslator
-
-    entries = [IovaEntry(pfn, pfn + 1, DmaPerm.BIDIRECTIONAL)
-               for pfn in range(512)]
-    spec = resolve_backend(backend)
-
-    def iotlb_round() -> None:
-        # capacity pinned at 256 across backends so iotlb_events_per_s
-        # measures the backend's set geometry / replacement policy,
-        # not its cache size
-        iotlb = Iotlb(capacity=256,
-                      associativity=spec.iotlb_associativity,
-                      replacement=spec.iotlb_replacement)
-        for i in range(nr_events):
-            entry = entries[i % 512]
-            if iotlb.lookup(7, entry.iova_pfn) is None:
-                iotlb.insert(7, entry)
-
-    def frag_round() -> None:
-        phys = PhysicalMemory(16384)
-        buddy = BuddyAllocator(phys, reserved_low_pages=16)
-        cache = PageFragCache(buddy, IdentityTranslator())
-        live: list[int] = []
-        for i in range(nr_events):
-            live.append(cache.alloc(1856))
-            if len(live) >= 8:
-                cache.free(live.pop(0))
-
-    iotlb_s = _best(iotlb_round, rounds)
-    frag_s = _best(frag_round, rounds)
-    return {
-        "nr_events": nr_events,
-        "rounds": rounds,
-        "iotlb_best_s": round(iotlb_s, 6),
-        "iotlb_events_per_s": round(nr_events / iotlb_s),
-        "page_frag_best_s": round(frag_s, 6),
-        "page_frag_events_per_s": round(nr_events / frag_s),
-    }
-
-
 # -- the report --------------------------------------------------------------
 
 def run_benchmarks(*, scale: float = 1.0, corpus_seed: int = 2021,
                    campaign_seeds: int = 16,
                    campaign_scale: float = 0.1,
-                   jobs: tuple[int, ...] = (1, 2, 4), rounds: int = 3,
-                   kernel_events: int = 50_000,
-                   backend: str | None = None,
-                   with_backends: bool = True) -> dict:
+                   jobs: tuple[int, ...] = (1, 2, 4),
+                   backend: str | None = None) -> dict:
     """Run every family; returns the ``BENCH_perf.json`` payload.
 
-    *backend* selects the IOMMU model for the campaign and
-    kernel-event families (SPADE is static and unaffected). The
-    report carries a ``backend`` key only for non-default models, so
-    per-backend runs sign into their own history lane and never gate
-    against default runs.
+    *backend* selects the IOMMU model for the campaign family (SPADE
+    is static and unaffected). The report carries a ``backend`` key
+    only for non-default models, so per-backend runs sign into their
+    own history lane and never gate against default runs.
     """
     from repro import __version__
     from repro.backends import backend_label
 
     label = backend_label(backend)
-    spade = bench_spade(scale=scale, corpus_seed=corpus_seed)
+    spade = spade_tiers(scale=scale, corpus_seed=corpus_seed)
     campaign = bench_campaign(nr_seeds=campaign_seeds,
                               scale=campaign_scale, jobs=jobs,
                               backend=label)
-    kernel = bench_kernel_events(rounds=rounds, nr_events=kernel_events,
-                                 backend=label)
     checks = {
         "warm_faster_than_cold":
             spade["warm_disk_s"] < spade["cold_s"],
-        "cached_findings_identical": spade["identical"],
+        "cached_findings_identical": not spade["mismatches"],
     }
     report = {
         "schema": BENCH_SCHEMA,
@@ -281,12 +209,9 @@ def run_benchmarks(*, scale: float = 1.0, corpus_seed: int = 2021,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "spade": spade,
         "campaign": campaign,
-        "kernel": kernel,
         "checks": checks,
         "ok": all(checks.values()),
     }
-    if with_backends:
-        report["backends"] = bench_backends(rounds=rounds)
     if label is not None:
         report["backend"] = label
     return report
@@ -301,7 +226,6 @@ def write_report(report: dict, path: str = DEFAULT_OUTPUT) -> None:
 def format_report(report: dict) -> str:
     """Human-readable digest of one report."""
     spade = report["spade"]
-    kernel = report["kernel"]
     lines = [
         f"SPADE scale={spade['scale']} "
         f"({spade['nr_files']} files, {spade['nr_findings']} findings)",
@@ -311,7 +235,8 @@ def format_report(report: dict) -> str:
         f"({spade['speedup_disk']}x)",
         f"  warm (mem)  {spade['warm_memory_s']*1000:10.1f} ms  "
         f"({spade['speedup_memory']}x)",
-        f"  cached findings identical: {spade['identical']}",
+        "  cached tiers that differ from uncached: "
+        f"{', '.join(spade['mismatches']) or 'none'}",
         "campaign throughput "
         f"(scale={report['campaign']['scale']})",
     ]
@@ -322,17 +247,5 @@ def format_report(report: dict) -> str:
         lines.append(f"  jobs={run['jobs']}  {run['elapsed_s']:8.2f} s"
                      f"  ({run['seeds_per_s']} seeds/s,"
                      f" {run['nr_ok']} ok{ratio})")
-    lines += [
-        "kernel event rates",
-        f"  iotlb      {kernel['iotlb_events_per_s']:>12,} events/s",
-        f"  page_frag  {kernel['page_frag_events_per_s']:>12,} events/s",
-    ]
-    if report.get("backends"):
-        lines.append("per-backend iotlb rates "
-                     f"({report['backends']['nr_events']} events)")
-        for name, model in sorted(
-                report["backends"]["models"].items()):
-            lines.append(f"  {name:12s} "
-                         f"{model['iotlb_events_per_s']:>12,} events/s")
     lines.append(f"checks: {report['checks']}")
     return "\n".join(lines)

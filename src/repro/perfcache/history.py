@@ -9,9 +9,9 @@ fails the run (exit 1 at the CLI).
 
 Comparability matters: a smoke-sized CI bench must never be judged
 against a full-scale dev-machine history.  Every record therefore
-carries a *config signature* (scale, corpus seed, campaign sizing,
-kernel event count), and the gate only compares records whose
-signature matches the current run's.
+carries a *config signature* (SPADE scale, corpus seed, campaign
+scale and lanes), and the gate only compares records whose signature
+matches the current run's.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ LOWER_IS_BETTER = ("spade_uncached_s", "spade_cold_s",
                    "spade_warm_disk_s", "spade_warm_memory_s")
 
 #: tracked rates (per second; higher is better)
-HIGHER_IS_BETTER = ("iotlb_events_per_s", "page_frag_events_per_s",
-                    "campaign_seeds_per_s_jobs1")
+HIGHER_IS_BETTER = ("campaign_seeds_per_s_jobs1",)
 
 #: ``bench --check`` fails when the jobs=N/jobs=1 campaign throughput
 #: ratio drops below this (0 disables the gate)
@@ -54,14 +53,12 @@ def config_signature(report: dict) -> str:
     """
     spade = report.get("spade", {})
     campaign = report.get("campaign", {})
-    kernel = report.get("kernel", {})
     jobs = "x".join(str(run.get("jobs")) for run in
                     campaign.get("runs", ()))
     signature = (f"scale={spade.get('scale')}"
                  f",corpus_seed={spade.get('corpus_seed')}"
                  f",campaign_scale={campaign.get('scale')}"
-                 f",campaign_jobs={jobs}"
-                 f",kernel_events={kernel.get('nr_events')}")
+                 f",campaign_jobs={jobs}")
     backend = report.get("backend")
     if backend:
         signature += f",backend={backend}"
@@ -79,14 +76,11 @@ def tracked_metrics(report: dict) -> dict[str, float]:
     :func:`parallel_ratio_gate`).
     """
     spade = report.get("spade", {})
-    kernel = report.get("kernel", {})
     metrics = {
         "spade_uncached_s": spade.get("uncached_s"),
         "spade_cold_s": spade.get("cold_s"),
         "spade_warm_disk_s": spade.get("warm_disk_s"),
         "spade_warm_memory_s": spade.get("warm_memory_s"),
-        "iotlb_events_per_s": kernel.get("iotlb_events_per_s"),
-        "page_frag_events_per_s": kernel.get("page_frag_events_per_s"),
     }
     rate_by_jobs: dict[int, float] = {}
     for run in report.get("campaign", {}).get("runs", ()):

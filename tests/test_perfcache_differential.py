@@ -102,3 +102,61 @@ def test_campaign_derivation_unaffected_by_corpus_cache(tmp_path):
         assert derived.tree.files == cold.tree.files
         assert derived.manifest.sites == cold.manifest.sites
         assert derived.mutations == cold.mutations
+
+
+# -- the shared tier differential behind `cache verify` and `bench` ----------
+
+TINY_SCALE = 0.05
+
+
+def _drop_last_finding(monkeypatch):
+    """Make every disk-tier decode lose one finding."""
+    from repro.core.spade import analyzer
+
+    decode = analyzer.decode_findings
+    monkeypatch.setattr(analyzer, "decode_findings",
+                        lambda payload: decode(payload)[:-1])
+
+
+def test_spade_tiers_time_and_diff_every_cached_tier():
+    from repro.perfcache.bench import CACHED_TIERS, spade_tiers
+
+    spade = spade_tiers(scale=TINY_SCALE)
+    assert spade["mismatches"] == []
+    assert spade["nr_findings"] > 0
+    for tier in ("uncached", *CACHED_TIERS):
+        assert spade[f"{tier}_s"] > 0
+    assert spade["warm_disk_stats"]["disk_hits"] > 0
+
+
+def test_spade_tiers_name_each_tier_that_differs(monkeypatch):
+    from repro.perfcache.bench import spade_tiers
+
+    _drop_last_finding(monkeypatch)
+    mismatches = spade_tiers(scale=TINY_SCALE)["mismatches"]
+    # cold computes and stores; the disk decode feeds warm_disk, whose
+    # decoded findings the in-process tier then serves to warm_memory
+    assert "warm_disk findings" in mismatches
+    assert "warm_memory findings" in mismatches
+    assert not [m for m in mismatches if m.startswith("cold")]
+
+
+def test_cache_verify_passes_and_persists_stats(tmp_path, capsys):
+    from repro.cli import main
+
+    directory = str(tmp_path / "cache")
+    assert main(["cache", "verify", "--scale", str(TINY_SCALE),
+                 "--cache-dir", directory]) == 0
+    assert "cache verify: OK" in capsys.readouterr().out
+    assert PerfCache(directory).aggregate_persisted_stats().disk_hits > 0
+
+
+def test_cache_verify_fails_naming_the_tier(monkeypatch, capsys):
+    from repro.cli import main
+
+    _drop_last_finding(monkeypatch)
+    assert main(["cache", "verify", "--scale", str(TINY_SCALE)]) == 1
+    out = capsys.readouterr().out
+    assert "cache verify: FAIL -- warm_disk findings" in out
+    assert "FAIL -- cold" not in out
+    assert "cache verify: OK" not in out
