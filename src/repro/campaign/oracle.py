@@ -120,12 +120,6 @@ class DifferentialResult:
     #: :mod:`repro.coverage`); None when coverage was disabled
     coverage: dict | None = None
 
-    @property
-    def agreement_rate(self) -> float:
-        if not self.nr_sites:
-            return 1.0
-        return 1.0 - len(self.disagreements) / self.nr_sites
-
 
 def run_differential(tree: SourceTree, manifest: Manifest, *,
                      seed: int = 0, max_exemplars: int = 5,

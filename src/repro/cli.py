@@ -102,6 +102,28 @@ def _add_victim_args(parser: argparse.ArgumentParser) -> None:
                         default="unmap_first")
 
 
+def _add_workload_args(parser: argparse.ArgumentParser, *,
+                       backend_note: str) -> None:
+    """The named-workload options ``trace`` and ``metrics`` share."""
+    from repro.sim.workload import NAMED_WORKLOADS
+    parser.add_argument("--workload", choices=tuple(NAMED_WORKLOADS),
+                        default="compile-ping")
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--iommu-mode", choices=("deferred", "strict"),
+                        default="deferred")
+    parser.add_argument("--rounds", type=_positive_int, default=20,
+                        help="compile-ping workload rounds")
+    parser.add_argument("--commands", type=_positive_int, default=48,
+                        help="storage workload commands")
+    parser.add_argument("--profile-boots", type=_positive_int, default=8,
+                        help="ringflood replica boots (run before the "
+                             "workload is observed)")
+    parser.add_argument("--backend", metavar="NAME",
+                        help="IOMMU backend model (see 'repro-dma "
+                             "backends list'; default: intel-vtd); "
+                             + backend_note)
+
+
 def _build_victim(args):
     from repro.sim.kernel import Kernel
     kernel = Kernel(seed=args.seed, boot_index=args.boot_index,
@@ -267,27 +289,52 @@ def _trace_counters(kernel, recorder) -> dict:
 
     registry = metrics.MetricsRegistry()
     metrics.publish_kernel(registry, kernel)
-    counters = {}
-    for sample in registry.samples(collect=False):
-        if sample.kind != "counter" or not recorder.wants(sample.subsystem):
-            continue
-        labels = ",".join(f"{key}={value}" for key, value
-                          in sorted(sample.labels.items()))
-        name = f"{sample.name}{{{labels}}}" if labels else sample.name
-        counters[(sample.subsystem, name)] = sample.value
-    return counters
+    return {(sample.subsystem, metrics.export.sample_key(sample)):
+            sample.value
+            for sample in registry.samples(collect=False)
+            if sample.kind == "counter"
+            and recorder.wants(sample.subsystem)}
+
+
+def _prepare_workload(args):
+    """Resolve ``--backend`` and prepare ``--workload`` for ``trace``
+    and ``metrics``; returns ``(boot, error)``.
+
+    A workload's set-up (ringflood's replica profiling boots dozens of
+    throwaway kernels) runs here, before the caller installs its
+    recorder or registry, so its clocks and allocator churn stay out
+    of the victim's numbers. ``boot(make_sink=None)`` then boots the
+    victim kernel (with ``make_sink(phys_bytes)`` as its memory-event
+    sink when given), runs the workload on it, prints the workload's
+    progress line and returns the kernel.
+    """
+    from repro.mem.accounting import NULL_SINK
+    from repro.sim.kernel import Kernel
+    from repro.sim.workload import NAMED_WORKLOADS
+
+    backend, error = _resolve_backend(args.backend)
+    if error:
+        return None, error
+    workload = NAMED_WORKLOADS[args.workload]
+    prepared = workload.prepare(args)
+
+    def boot(make_sink=None):
+        sink = NULL_SINK if make_sink is None \
+            else make_sink(workload.phys_mb << 20)
+        kernel = Kernel(seed=args.seed, phys_mb=workload.phys_mb,
+                        iommu_mode=args.iommu_mode,
+                        iommu_backend=backend, sink=sink)
+        print(workload.run(kernel, args, prepared))
+        return kernel
+
+    return boot, None
 
 
 def cmd_trace(args) -> int:
     from repro import trace as tracing
     from repro.report import (render_invalidation_report,
                               render_timeline, render_trace_summary)
-    from repro.sim.kernel import Kernel
-    from repro.sim.workload import NAMED_WORKLOADS
 
-    backend, error = _resolve_backend(args.backend)
-    if error:
-        return _fail(error)
     categories = None
     if args.categories:
         requested = tuple(dict.fromkeys(
@@ -303,18 +350,13 @@ def cmd_trace(args) -> int:
     if tracing.active() is not None:
         return _fail("a trace session is already active")
 
-    # a workload's set-up (ringflood's replica profiling boots dozens
-    # of throwaway kernels) runs before the recorder is installed, so
-    # its clocks and allocator churn stay out of the victim's trace
-    workload = NAMED_WORKLOADS[args.workload]
-    prepared = workload.prepare(args)
+    boot, error = _prepare_workload(args)
+    if error:
+        return _fail(error)
     claim_ok = True
     with tracing.session(capacity=args.capacity,
                          categories=categories) as recorder:
-        kernel = Kernel(seed=args.seed, phys_mb=workload.phys_mb,
-                        iommu_mode=args.iommu_mode,
-                        iommu_backend=backend)
-        print(workload.run(kernel, args, prepared))
+        kernel = boot()
 
         counters = _trace_counters(kernel, recorder)
         summary = tracing.summary_record(recorder, counters=counters)
@@ -350,27 +392,15 @@ def cmd_trace(args) -> int:
 def cmd_metrics(args) -> int:
     from repro import metrics
     from repro.core.dkasan import DKasan
-    from repro.report import (render_dkasan_stats, render_iommu_stats,
-                              render_meminfo, render_netdev)
-    from repro.sim.kernel import Kernel
-    from repro.sim.workload import NAMED_WORKLOADS
 
-    backend, error = _resolve_backend(args.backend)
-    if error:
-        return _fail(error)
     if metrics.active() is not None:
         return _fail("a metrics session is already active")
 
-    # set-up runs before the registry is installed, so the victim
-    # boot owns the kernel collector slot (same rule as the recorder)
-    workload = NAMED_WORKLOADS[args.workload]
-    prepared = workload.prepare(args)
+    boot, error = _prepare_workload(args)
+    if error:
+        return _fail(error)
     with metrics.session() as registry:
-        dkasan = DKasan(workload.phys_mb << 20)
-        kernel = Kernel(seed=args.seed, phys_mb=workload.phys_mb,
-                        iommu_mode=args.iommu_mode,
-                        iommu_backend=backend, sink=dkasan)
-        print(workload.run(kernel, args, prepared))
+        boot(make_sink=DKasan)
 
         samples = registry.samples()
         present = registry.subsystems_present(collect=False)
@@ -378,10 +408,7 @@ def cmd_metrics(args) -> int:
               f"{len(present)} subsystems ({', '.join(present)})")
 
         if args.format == "proc":
-            rendered = "\n".join((render_meminfo(kernel),
-                                  render_iommu_stats(kernel),
-                                  render_netdev(kernel),
-                                  render_dkasan_stats(dkasan)))
+            rendered = metrics.proc_text(registry, collect=False)
         elif args.format == "json":
             import json
             rendered = json.dumps(
@@ -515,21 +542,17 @@ def cmd_campaign(args) -> int:
         if novel or (saturation.plateaued and not was_plateaued):
             print(format_saturation(saturation))
 
-    def progress(record: dict) -> None:
+    def progress(record: dict, prefix: str = "") -> None:
         status = record["status"]
         extra = ""
         if status == "ok":
             extra = f" ({len(record['disagreements'])} disagreements)"
-        print(f"seed {record['seed']}: {status} "
+        print(f"{prefix}seed {record['seed']}: {status} "
               f"in {record['duration_s']:.2f}s{extra}")
         note_coverage(record)
 
-    if args.shard_dir or args.merge:
-        from repro.campaign.shard import (merge_shards,
-                                          missing_seeds_message,
-                                          pending_shards,
-                                          run_sharded_campaign)
-        from repro.errors import CampaignError
+    sharded = bool(args.shard_dir or args.merge)
+    if sharded:
         if backend_list:
             return _fail("campaign: sharded mode composes with a "
                          "single --backend, not --backends")
@@ -539,65 +562,61 @@ def cmd_campaign(args) -> int:
                          "results instead)")
         if not config.output:
             return _fail("campaign: sharded mode needs --output")
-        try:
-            if args.shard_dir:
-                nr_run = run_sharded_campaign(
-                    config, args.shard_dir,
-                    shard_size=args.shard_size,
-                    stale_after_s=args.stale_claim,
-                    progress=progress,
-                    log=print)
-                pending = pending_shards(config, args.shard_dir,
-                                         shard_size=args.shard_size)
-                print(f"sharded campaign: this runner completed "
-                      f"{nr_run} shard(s); {len(pending)} still "
-                      f"pending queue-wide")
-                if pending and not args.merge:
-                    return 0
-                if pending and args.merge:
-                    print("campaign: waiting shards remain; merging "
-                          "what is done (re-run --merge later for "
-                          "the rest)")
-            summary = merge_shards(
-                config, shard_size=args.shard_size,
-                on_missing=lambda missing: print(
-                    missing_seeds_message(missing), file=sys.stderr),
-                shard_dir=args.shard_dir or None,
-                stale_after_s=args.stale_claim)
-        except CampaignError as exc:
-            return _fail(f"campaign: {exc}")
-        finally:
-            if config.cache_dir:
-                from repro import perfcache
-                perfcache.reset_default()
-        print()
-        print(format_summary(summary))
-        return 0 if summary.all_ok else 1
+    elif backend_list and not config.output:
+        return _fail("campaign: --backends needs an --output stem "
+                     "for the per-backend results files")
+
+    try:
+        if sharded:
+            from repro.campaign.shard import (merge_shards,
+                                              missing_seeds_message,
+                                              pending_shards,
+                                              run_sharded_campaign)
+            from repro.errors import CampaignError
+            try:
+                if args.shard_dir:
+                    nr_run = run_sharded_campaign(
+                        config, args.shard_dir,
+                        shard_size=args.shard_size,
+                        stale_after_s=args.stale_claim,
+                        progress=progress,
+                        log=print)
+                    pending = pending_shards(config, args.shard_dir,
+                                             shard_size=args.shard_size)
+                    print(f"sharded campaign: this runner completed "
+                          f"{nr_run} shard(s); {len(pending)} still "
+                          f"pending queue-wide")
+                    if pending and not args.merge:
+                        return 0
+                    if pending and args.merge:
+                        print("campaign: waiting shards remain; merging "
+                              "what is done (re-run --merge later for "
+                              "the rest)")
+                summary = merge_shards(
+                    config, shard_size=args.shard_size,
+                    on_missing=lambda missing: print(
+                        missing_seeds_message(missing), file=sys.stderr),
+                    shard_dir=args.shard_dir or None,
+                    stale_after_s=args.stale_claim)
+            except CampaignError as exc:
+                return _fail(f"campaign: {exc}")
+        elif backend_list:
+            from repro.campaign import run_multi_backend_campaign
+            multi = run_multi_backend_campaign(
+                config, list(backend_list),
+                progress=lambda name, record: progress(record,
+                                                       f"[{name}] "))
+        else:
+            summary = run_campaign(config, progress=progress)
+    finally:
+        if config.cache_dir:
+            # don't leak the campaign's disk-backed cache into the
+            # process-wide default other subcommands/tests see
+            from repro import perfcache
+            perfcache.reset_default()
 
     if backend_list:
-        from repro.campaign import (format_multi_backend_summary,
-                                    run_multi_backend_campaign)
-        if not config.output:
-            return _fail("campaign: --backends needs an --output stem "
-                         "for the per-backend results files")
-
-        def multi_progress(backend_name: str, record: dict) -> None:
-            status = record["status"]
-            extra = ""
-            if status == "ok":
-                extra = (f" ({len(record['disagreements'])} "
-                         f"disagreements)")
-            print(f"[{backend_name}] seed {record['seed']}: {status} "
-                  f"in {record['duration_s']:.2f}s{extra}")
-            note_coverage(record)
-
-        try:
-            multi = run_multi_backend_campaign(
-                config, list(backend_list), progress=multi_progress)
-        finally:
-            if config.cache_dir:
-                from repro import perfcache
-                perfcache.reset_default()
+        from repro.campaign import format_multi_backend_summary
         for name in multi.backends:
             print()
             print(f"== backend {name} ==")
@@ -605,15 +624,6 @@ def cmd_campaign(args) -> int:
         print()
         print(format_multi_backend_summary(multi))
         return 0 if multi.all_ok else 1
-
-    try:
-        summary = run_campaign(config, progress=progress)
-    finally:
-        if config.cache_dir:
-            # don't leak the campaign's disk-backed cache into the
-            # process-wide default other subcommands/tests see
-            from repro import perfcache
-            perfcache.reset_default()
     print()
     print(format_summary(summary))
 
@@ -663,9 +673,13 @@ def cmd_cache(args) -> int:
                          f"is not a repro cache directory")
 
     if args.action == "stats":
-        from repro.report import render_cache_stats
-        print(render_cache_stats(cache.disk_usage(),
-                                 cache.aggregate_persisted_stats()))
+        from repro import metrics
+        from repro.report import render_cache_usage
+        registry = metrics.MetricsRegistry()
+        metrics.publish_perfcache(registry,
+                                  cache.aggregate_persisted_stats())
+        print(render_cache_usage(cache.disk_usage()))
+        print(metrics.proc_text(registry, collect=False), end="")
         return 0
 
     if args.action == "clear":
@@ -912,7 +926,6 @@ def cmd_backends(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
-    from repro.sim.workload import NAMED_WORKLOADS
 
     parser = argparse.ArgumentParser(
         prog="repro-dma",
@@ -1044,24 +1057,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace",
         help="run a workload under the flight recorder")
-    trace.add_argument("--workload",
-                       choices=tuple(NAMED_WORKLOADS),
-                       default="compile-ping")
-    trace.add_argument("--seed", type=int, default=5)
-    trace.add_argument("--iommu-mode", choices=("deferred", "strict"),
-                       default="deferred")
+    _add_workload_args(trace, backend_note="non-default backends tag "
+                                           "their trace events with a "
+                                           "'backend' field")
     trace.add_argument("--categories", metavar="CAT[,CAT...]",
                        help="comma-separated trace categories "
                             "(default: all)")
     trace.add_argument("--capacity", type=_positive_int,
                        default=65536,
                        help="ring capacity (drop-oldest beyond this)")
-    trace.add_argument("--rounds", type=_positive_int, default=20,
-                       help="compile-ping workload rounds")
-    trace.add_argument("--commands", type=_positive_int, default=48,
-                       help="storage workload commands")
-    trace.add_argument("--profile-boots", type=_positive_int, default=8,
-                       help="ringflood replica boots (untraced)")
     trace.add_argument("--output", metavar="PATH",
                        help="write the event stream as JSONL")
     trace.add_argument("--chrome", metavar="PATH",
@@ -1075,11 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "traced kernel's counters (as 'repro-dma "
                             "metrics' reports them), and the "
                             "trace-derived invalidation windows")
-    trace.add_argument("--backend", metavar="NAME",
-                       help="IOMMU backend model (see 'repro-dma "
-                            "backends list'; default: intel-vtd); "
-                            "non-default backends tag their trace "
-                            "events with a 'backend' field")
     trace.set_defaults(func=cmd_trace)
 
     coverage = sub.add_parser(
@@ -1260,32 +1259,17 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run a workload under the metrics registry and export "
              "the aggregate counters")
-    metrics.add_argument("--workload",
-                         choices=tuple(NAMED_WORKLOADS),
-                         default="compile-ping")
-    metrics.add_argument("--seed", type=int, default=5)
-    metrics.add_argument("--iommu-mode",
-                         choices=("deferred", "strict"),
-                         default="deferred")
+    _add_workload_args(metrics, backend_note="non-default backends "
+                                             "label their iommu metric "
+                                             "families with backend=NAME")
     metrics.add_argument("--format",
                          choices=("prometheus", "json", "proc"),
                          default="prometheus",
                          help="export format (proc = /proc-style "
                               "snapshot text)")
-    metrics.add_argument("--rounds", type=_positive_int, default=20,
-                         help="compile-ping workload rounds")
-    metrics.add_argument("--commands", type=_positive_int, default=48,
-                         help="storage workload commands")
-    metrics.add_argument("--profile-boots", type=_positive_int,
-                         default=8,
-                         help="ringflood replica boots (uncounted)")
     metrics.add_argument("--output", metavar="PATH",
                          help="write the export to PATH instead of "
                               "stdout")
-    metrics.add_argument("--backend", metavar="NAME",
-                         help="IOMMU backend model; non-default "
-                              "backends label their iommu metric "
-                              "families with backend=NAME")
     metrics.set_defaults(func=cmd_metrics)
 
     matrix = sub.add_parser("matrix", help="defense matrix")

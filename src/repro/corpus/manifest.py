@@ -61,9 +61,6 @@ class Manifest:
     def calls_with(self, exposure: str) -> list[CallSiteTruth]:
         return [s for s in self.sites if exposure in s.exposures]
 
-    def files_with(self, exposure: str) -> set[str]:
-        return {s.path for s in self.calls_with(exposure)}
-
     def table2_rows(self) -> dict[str, tuple[int, int]]:
         """Ground-truth Table 2: row -> (#calls, #files)."""
         def row(*exposures: str) -> tuple[int, int]:

@@ -76,9 +76,6 @@ class IommuDomain:
         """
         return frozenset(self._by_pfn.get(pfn, ()))
 
-    def mapped_pfns(self) -> frozenset[int]:
-        return frozenset(self._by_pfn)
-
     @property
     def nr_entries(self) -> int:
         return len(self._entries)

@@ -174,13 +174,3 @@ class BuddyAllocator:
     def is_allocated(self, pfn: int) -> bool:
         """Whether frame *pfn* is inside any live allocation."""
         return self._phys.page(pfn).allocated
-
-    def snapshot_free_pfns(self) -> list[int]:
-        """All currently free PFNs (diagnostics and property tests)."""
-        pfns: list[int] = []
-        for order, blocks in self._free_lists.items():
-            for base in blocks:
-                pfns.extend(range(base, base + (1 << order)))
-        for cache in self._pcp.values():
-            pfns.extend(cache)
-        return pfns

@@ -20,6 +20,12 @@ only at snapshot time::
 
 Only ``repro-dma metrics`` and ``repro-dma chaos`` install one.
 
+:mod:`repro.metrics.collectors` is the one reader of those stats
+structs: a counter is added, renamed or labelled there, and every view
+follows -- Prometheus text, JSON, the ``/proc`` stat blocks
+(:func:`~repro.metrics.export.proc_text`, also behind ``repro-dma
+cache stats``) and the counters of ``repro-dma trace`` exports.
+
 The most recently booted :class:`~repro.sim.kernel.Kernel` owns the
 registry's ``kernel`` collector slot (mirroring how the flight
 recorder binds to the most recent boot's clock), so attacker replica
@@ -37,18 +43,16 @@ from repro.metrics import export
 from repro.metrics.collectors import (dkasan_collector, kernel_collector,
                                       perfcache_collector, publish_dkasan,
                                       publish_kernel, publish_perfcache)
-from repro.metrics.export import (dump_json, dump_prometheus, json_record,
-                                  prometheus_text)
+from repro.metrics.export import json_record, proc_text, prometheus_text
 from repro.metrics.registry import (SUBSYSTEMS, Counter, Gauge, Histogram,
                                     MetricsRegistry, Sample)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsError", "MetricsRegistry",
     "SUBSYSTEMS", "Sample", "active", "count",
-    "dkasan_collector", "dump_json", "dump_prometheus",
-    "export", "install", "json_record",
+    "dkasan_collector", "export", "install", "json_record",
     "kernel_collector", "observe", "observe_dkasan", "observe_kernel",
-    "perfcache_collector", "prometheus_text", "publish_dkasan",
+    "perfcache_collector", "proc_text", "prometheus_text", "publish_dkasan",
     "publish_kernel", "publish_perfcache", "session", "set_gauge", "uninstall",
 ]
 

@@ -1,14 +1,12 @@
-"""Deterministic exporters: Prometheus text exposition and JSON.
+"""Deterministic exporters: Prometheus text, JSON and ``/proc`` text.
 
-Both exporters are pure functions of the registry contents -- no
+Every exporter is a pure function of the registry contents -- no
 wall-clock timestamps, no iteration-order dependence -- so two
 same-seed workload runs produce byte-identical output (the same
 property trace JSONL has, pinned by tests/test_metrics.py).
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.metrics.registry import MetricsRegistry, Sample
 
@@ -116,15 +114,31 @@ def json_record(registry: MetricsRegistry, *, collect: bool = True,
     return doc
 
 
-def dump_json(registry: MetricsRegistry, path: str, *,
-              collect: bool = True, seed: int | None = None) -> None:
-    doc = json_record(registry, collect=collect, seed=seed)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def sample_key(sample: Sample) -> str:
+    """``name{key=value,...}``: a sample's row in :func:`proc_text`
+    and its counter name in ``repro-dma trace`` exports."""
+    labels = ",".join(f"{key}={value}" for key, value
+                      in sorted(sample.labels.items()))
+    return f"{sample.name}{{{labels}}}" if labels else sample.name
 
 
-def dump_prometheus(registry: MetricsRegistry, path: str, *,
-                    collect: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_text(registry, collect=collect))
+def proc_text(registry: MetricsRegistry, *, collect: bool = True) -> str:
+    """Render the registry as ``/proc``-style stat blocks: one
+    ``subsystem:`` header per subsystem, then one ``name{labels}:
+    value`` row per instrument (a histogram shows its count and sum)."""
+    samples = registry.samples(collect=collect)
+    keys = [sample_key(sample) for sample in samples]
+    width = max((len(key) for key in keys), default=0) + 2
+    lines: list[str] = []
+    subsystem = None
+    for sample, key in zip(samples, keys):
+        if sample.subsystem != subsystem:
+            subsystem = sample.subsystem
+            lines.append(f"{subsystem}:")
+        if sample.kind == "histogram":
+            hist = sample.histogram
+            value = f"count={hist.count} sum={_format_value(hist.total)}"
+        else:
+            value = _format_value(sample.value)
+        lines.append(f"{key + ':':<{width}}{value:>12}")
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -303,9 +303,3 @@ class Nic:
         if not desc.fetched:
             raise NetStackError("completing a TX descriptor never fetched")
         desc.completed = True
-
-    def device_visible_rx(self, *, cpu: int = 0) -> list[tuple[int, int]]:
-        """(iova, buf_size) of every posted RX slot -- what the device
-        legitimately learns from the descriptor ring."""
-        return [(d.iova, d.buf_size)
-                for d in self.rx_rings[cpu].posted_descriptors()]

@@ -79,10 +79,6 @@ class SkBuff:
     def shared_info_kva(self) -> int:
         return self.head_kva + self.end_offset
 
-    @property
-    def total_len(self) -> int:
-        return self.len + self.data_len
-
     def shared_info(self) -> BoundStruct:
         """Bind skb_shared_info at its in-buffer location."""
         paddr = self.addr_space.paddr_of_kva(self.shared_info_kva)

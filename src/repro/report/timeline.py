@@ -10,7 +10,7 @@ a live recorder's ``events`` and on a stream reloaded with
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from repro.trace.recorder import TraceEvent
@@ -108,11 +108,3 @@ def render_invalidation_report(windows) -> str:
     if windows.nr_unpaired:
         parts.append(f"{windows.nr_unpaired} still open at end of trace")
     return "; ".join(parts)
-
-
-def column_names(events: Sequence["TraceEvent"]) -> list[str]:
-    """Distinct ``category/name`` identifiers, in first-seen order."""
-    seen: dict[str, None] = {}
-    for event in events:
-        seen.setdefault(f"{event.category}/{event.name}")
-    return list(seen)

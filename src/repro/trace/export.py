@@ -18,10 +18,12 @@ from the traced kernel's stats structs via :mod:`repro.metrics`.
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from typing import IO, Iterable, Mapping
 
+from repro import durability
 from repro.trace.recorder import CATEGORIES, TraceEvent, TraceRecorder
 
 #: ``{(category, name): value}`` counter samples an export carries
@@ -58,8 +60,12 @@ def write_jsonl(recorder: TraceRecorder, stream: IO[str], *,
 
 def dump_jsonl(recorder: TraceRecorder, path: str, *,
                counters: Counters | None = None) -> int:
-    with open(path, "w", encoding="utf-8") as handle:
-        return write_jsonl(recorder, handle, counters=counters)
+    """Write the JSONL trace atomically (a killed writer leaves the old
+    file or none, never a torn one); returns the number of events."""
+    buffer = io.StringIO()
+    written = write_jsonl(recorder, buffer, counters=counters)
+    durability.atomic_write_text(path, buffer.getvalue())
+    return written
 
 
 def load_jsonl(path: str) -> tuple[list[TraceEvent], dict | None]:
@@ -141,9 +147,9 @@ def chrome_trace(events: Iterable[TraceEvent], *,
 
 def dump_chrome_trace(recorder: TraceRecorder, path: str, *,
                       counters: Counters | None = None) -> int:
-    """Write the Chrome trace JSON; returns the number of traceEvents."""
+    """Write the Chrome trace JSON atomically; returns the number of
+    traceEvents."""
     document = chrome_trace(recorder.events, counters=counters)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
+    durability.atomic_write_json(path, document, sort_keys=True,
+                                 trailing_newline=True)
     return len(document["traceEvents"])

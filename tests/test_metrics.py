@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro import metrics
 from repro.errors import MetricsError
 from repro.metrics import Histogram, MetricsRegistry
-from repro.metrics.export import json_record, prometheus_text
+from repro.metrics.export import json_record, proc_text, prometheus_text
 from repro.metrics.registry import pow2_bucket
 
 
@@ -184,6 +184,22 @@ def test_prometheus_label_escaping():
     registry.counter("net", "rx_packets", device='e"t\\h\n0').set(1)
     text = prometheus_text(registry)
     assert r'device="e\"t\\h\n0"' in text
+
+
+def test_proc_text_shape():
+    lines = proc_text(_toy_registry()).splitlines()
+    assert [line for line in lines if line.endswith(":")] == [
+        "dma:", "iommu:", "mem:", "spade:"]
+    rows = [line for line in lines if not line.endswith(":")]
+    assert {row.split(":")[0]: row.split(":", 1)[1].strip()
+            for row in rows} == {
+        "maps": "7", "iotlb_lookups{result=hit}": "5",
+        "iotlb_lookups{result=miss}": "2", "free_pages": "1.5",
+        "analyze_seconds": "count=2 sum=3.5"}
+    # the name column fits the longest labelled name, so every
+    # right-aligned value ends in the same column
+    assert len({len(row) for row in rows
+                if "count=" not in row}) == 1
 
 
 def test_json_record_roundtrips():

@@ -218,10 +218,80 @@ def test_cli_metrics_proc_format(capsys):
     assert main(["metrics", "--workload", "compile-ping",
                  "--rounds", "2", "--format", "proc"]) == 0
     out = capsys.readouterr().out
-    for block in ("meminfo:", "iommu_stats:", "netdev:",
-                  "dkasan_stats:"):
-        assert block in out
-    assert "MemTotal:" in out
+    for block in ("dma:", "iommu:", "net:", "mem:", "dkasan:",
+                  "perfcache:", "sim:"):
+        assert f"\n{block}\n" in out
+    assert "\nphys_bytes:" in out
+
+
+def _proc_rows(text: str) -> dict:
+    """``{(subsystem, row name): value text}`` of ``/proc`` blocks."""
+    rows, subsystem = {}, None
+    for line in text.splitlines():
+        name, _, value = line.partition(":")
+        if value.strip():
+            rows[(subsystem, name)] = value.strip()
+        else:
+            subsystem = name
+    return rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "compile-ping", "--rounds", "2"],
+    ["--workload", "storage", "--commands", "8"],
+])
+def test_cli_metrics_proc_rows_are_the_json_samples(argv, capsys):
+    assert main(["metrics", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    assert main(["metrics", *argv, "--format", "proc"]) == 0
+    out = capsys.readouterr().out
+    rows = _proc_rows(out[out.index("\n\n") + 2:])
+    expected = {}
+    for record in doc["metrics"]:
+        labels = ",".join(f"{key}={value}" for key, value
+                          in sorted(record["labels"].items()))
+        name = f"{record['name']}{{{labels}}}" if labels \
+            else record["name"]
+        expected[(record["subsystem"], name)] = record["value"]
+    assert len(expected) == len(doc["metrics"])
+    assert rows.keys() == expected.keys()
+    for key, value in expected.items():
+        assert float(rows[key]) == value, key
+
+
+def test_cli_cache_stats_prints_persisted_totals(tmp_path, capsys):
+    directory = str(tmp_path / "cache")
+    codec = {"encode": lambda o: o, "decode": lambda p: p}
+    a = perfcache.PerfCache(directory)
+    for key in ("a" * 64, "a" * 64, "a" * 64, "b" * 64):
+        a.cached("parse", key, lambda: 1, **codec)
+    assert a.persist_stats()
+    with open(a._entry_path("parse", "b" * 64), "w",
+              encoding="utf-8") as handle:
+        handle.write("{torn")
+    b = perfcache.PerfCache(directory)
+    for key in ("a" * 64, "b" * 64):   # a disk hit, a corrupt entry
+        b.cached("parse", key, lambda: 1, **codec)
+    b._stats_name = "STATS-99999-beef.json"
+    assert b.persist_stats()
+    totals = perfcache.PerfCache(directory).aggregate_persisted_stats()
+    assert (totals.memory_hits, totals.disk_hits, totals.misses,
+            totals.corrupt) == (2, 1, 3, 1)
+
+    assert main(["cache", "stats", "--cache-dir", directory]) == 0
+    rows = _proc_rows(capsys.readouterr().out)
+    assert {name: float(value) for (subsystem, name), value
+            in rows.items() if subsystem == "perfcache"} == {
+        "lookups{result=memory_hit}": totals.memory_hits,
+        "lookups{result=disk_hit}": totals.disk_hits,
+        "lookups{result=miss}": totals.misses,
+        "stores": totals.stores,
+        "bypasses": totals.bypasses,
+        "corrupt_recovered": totals.corrupt,
+        "write_errors": totals.write_errors,
+        "hit_ratio": totals.hits / totals.lookups,
+    }
 
 
 def test_cli_metrics_json_format(capsys):
