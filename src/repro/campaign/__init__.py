@@ -8,8 +8,8 @@ corpora with per-call-site ground truth, at corpus scale:
 * :func:`~repro.campaign.oracle.run_differential` -- score both
   detectors against one tree's ground truth;
 * :func:`~repro.campaign.runner.run_campaign` -- fan seeds out over
-  warm worker processes sharing one base-corpus snapshot, with
-  per-seed timeouts, crash capture, JSONL streaming, and resume;
+  warm worker processes forked from one warm mutator, with per-seed
+  timeouts, crash capture, JSONL streaming, and resume;
 * :func:`~repro.campaign.shard.run_sharded_campaign` -- scale past one
   process tree: independent runners claim seed ranges from a dir-based
   work queue and a merge step folds the shards back together;

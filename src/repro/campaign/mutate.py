@@ -119,8 +119,8 @@ class CorpusMutator:
         self.scale = scale
         self.composition = composition if composition is not None \
             else scaled_composition(scale, composition=LINUX50_COMPOSITION)
-        #: the adopted canonical base pair (see :meth:`adopt_base`);
-        #: ``None`` until the first base_view()/adopt_base() call
+        #: the canonical base pair; ``None`` until the first
+        #: :meth:`base_view` call
         self._base_pair: tuple[SourceTree, Manifest] | None = None
         self._base_spade: Spade | None = None
 
@@ -138,26 +138,15 @@ class CorpusMutator:
         This is the zero-copy path the campaign hot loop uses: every
         ``plan``/``apply`` call for every seed reads the very same
         tree and manifest objects, so the base is never re-copied per
-        seed. Callers must not mutate the returned pair -- use
-        :meth:`base` for a private copy.
+        seed; a parallel campaign's workers fork from the process that
+        built it and read it too. Callers must not mutate the returned
+        pair -- use :meth:`base` for a private copy.
         """
         if self._base_pair is None:
             self._base_pair = perfcache.default_cache().cached(
                 "corpus", self.base_key(), self._generate_base,
                 encode=_encode_base, decode=_decode_base)
         return self._base_pair
-
-    def adopt_base(self, tree: SourceTree, manifest: Manifest) -> None:
-        """Install an externally materialized base corpus.
-
-        Warm campaign workers call this with the pair decoded from the
-        shared on-disk snapshot (see :mod:`repro.campaign.snapshot`),
-        skipping both regeneration and the per-entry disk-cache walk.
-        The pair becomes the read-only canonical base; the caller must
-        not mutate it afterwards.
-        """
-        self._base_pair = (tree, manifest)
-        self._base_spade = None
 
     def base_spade(self) -> Spade | None:
         """The base corpus's SPADE analysis, the base of every seed's

@@ -33,6 +33,9 @@ VERDICTS = ("spade-miss",    # vulnerable, D-KASAN caught it, SPADE blind
             "spade-fp",      # benign, but SPADE flagged it
             "dkasan-fp")     # benign, but D-KASAN flagged it
 
+#: physical memory of the simulated kernel every seed replays on
+PHYS_MB = 256
+
 
 @dataclass(frozen=True)
 class Disagreement:
@@ -123,7 +126,6 @@ class DifferentialResult:
 
 def run_differential(tree: SourceTree, manifest: Manifest, *,
                      seed: int = 0, max_exemplars: int = 5,
-                     phys_mb: int = 256,
                      trace_events: int = 0,
                      backend: str | None = None,
                      coverage: bool = True,
@@ -196,15 +198,15 @@ def run_differential(tree: SourceTree, manifest: Manifest, *,
                 categories=COVERAGE_CATEGORIES))
             if collector is not None:
                 recorder.add_observer(collector.feed)
-        dkasan = DKasan(phys_mb << 20)
+        dkasan = DKasan(PHYS_MB << 20)
         if spec is None:
-            kernel = Kernel(seed=seed, phys_mb=phys_mb,
+            kernel = Kernel(seed=seed, phys_mb=PHYS_MB,
                             iommu_mode="strict",
                             boot_jitter_pages=0, boot_jitter_blocks=0,
                             sink=dkasan)
             replay = run_manifest_replay(kernel, manifest)
         else:
-            kernel = Kernel(seed=seed, phys_mb=phys_mb,
+            kernel = Kernel(seed=seed, phys_mb=PHYS_MB,
                             iommu_mode=spec.default_mode,
                             iommu_backend=spec,
                             boot_jitter_pages=0, boot_jitter_blocks=0,

@@ -1,14 +1,14 @@
 """The campaign runner.
 
 At jobs=1 seeds run inline, in this process. At jobs=N they fan out
-over long-lived **warm workers**: a ``ProcessPoolExecutor`` whose
-initializer runs once per process (configure the shared cache, adopt
-the parent's base-corpus snapshot, compile nothing per task), and each
-task carries one seed. The base corpus itself is materialized exactly
-once into a content-addressed mmap-friendly snapshot (see
-:mod:`repro.campaign.snapshot`) that every worker opens read-only;
-:meth:`~repro.campaign.mutate.CorpusMutator.base_view` then serves
-every seed from the same in-memory tree with zero corpus copies.
+over long-lived **warm workers**: this process builds the base corpus
+(:meth:`~repro.campaign.mutate.CorpusMutator.base_view`) and its SPADE
+analysis (:meth:`~repro.campaign.mutate.CorpusMutator.base_spade`)
+once, then starts a ``ProcessPoolExecutor`` on the ``fork`` start
+method with that warm mutator in the initializer's arguments, so every
+worker inherits it in memory, unpickled, and builds nothing. Each task
+carries one seed. Where the platform has no ``fork`` start method, each
+worker builds its own base through the shared disk tier instead.
 
 Every seed runs under a ``SIGALRM`` wall-clock timeout
 (``timeout_s``) at every job count, and every failure -- timeout,
@@ -34,11 +34,10 @@ harness injects worker crashes and hangs deterministically.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
-import shutil
 import signal
 import sys
-import tempfile
 import threading
 import time
 import traceback
@@ -49,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import durability, faults, metrics, perfcache
-from repro.campaign import snapshot as snapshot_store
 from repro.coverage import CoverageMap, coverage_map_path
 from repro.campaign.mutate import CorpusMutator
 from repro.campaign.oracle import run_differential
@@ -78,7 +76,6 @@ class CampaignConfig:
     mutations_per_seed: int = 6
     timeout_s: float = 120.0
     scale: float = 1.0
-    phys_mb: int = 256
     output: str | None = "campaign/results.jsonl"
     resume: bool = False
     #: flight-recorder events attached to disagreeing seeds (0 = off)
@@ -87,9 +84,9 @@ class CampaignConfig:
     #: keeps caching in-process only (see :mod:`repro.perfcache`)
     cache_dir: str | None = None
     #: read by nothing (liveness comes from the pool's own futures):
-    #: ``perfbench/rep.py`` still passes it, and the benchmark's files
+    #: only ``perfbench/rep.py`` passes it, and the benchmark's files
     #: change only in a change of their own, which deletes this field
-    #: together with the snapshot
+    #: together with :mod:`repro.campaign.snapshot`
     heartbeat_dir: str | None = None
     #: re-run a failing seed (error/timeout/crash/fault) up to N times
     retry: int = 0
@@ -138,7 +135,7 @@ def _seed_alarm(timeout_s: float):
 
 def run_seed(seed: int, *, base_seed: int = 2021,
              mutations_per_seed: int = 6, scale: float = 1.0,
-             phys_mb: int = 256, trace_events: int = 64,
+             trace_events: int = 64,
              backend: str | None = None,
              mutator: CorpusMutator | None = None,
              coverage: bool = True) -> dict:
@@ -156,7 +153,6 @@ def run_seed(seed: int, *, base_seed: int = 2021,
     base = mutator.base_spade()
     mutated = mutator.derive(seed, mutations_per_seed)
     result = run_differential(mutated.tree, mutated.manifest, seed=seed,
-                              phys_mb=phys_mb,
                               trace_events=trace_events,
                               backend=backend, coverage=coverage,
                               base=base)
@@ -187,7 +183,7 @@ def _guarded_run_seed(seed: int, config: "CampaignConfig", *,
                     time.sleep(hang.arg or 30.0)
             record = run_seed(seed, base_seed=config.base_seed,
                               mutations_per_seed=config.mutations_per_seed,
-                              scale=config.scale, phys_mb=config.phys_mb,
+                              scale=config.scale,
                               trace_events=config.trace_events,
                               backend=config.backend,
                               mutator=mutator)
@@ -231,39 +227,30 @@ _WORKER_MUTATOR: CorpusMutator | None = None
 
 
 def _init_worker(config: "CampaignConfig",
-                 snapshot_path: str | None = None) -> None:
+                 mutator: CorpusMutator | None) -> None:
     """One-time per-process warm-up: this is what makes workers warm.
 
-    Configures the shared disk cache, builds the process's one
-    :class:`CorpusMutator`, materializes its base corpus -- from the
-    parent's read-only snapshot when one exists, else from the
-    cache/regenerate path -- and analyzes it, the base of every
-    seed's delta SPADE run (on a cold disk tier this is what writes
-    the base parse trees; the parent of a pool run analyzes nothing).
-    Every seed the worker later runs reuses all of it; no per-task
-    setup remains.
+    A forked worker gets the parent's *mutator*, whose base corpus and
+    base analysis the parent already built: the worker inherits both in
+    memory and builds nothing. Without a ``fork`` start method,
+    *mutator* is None and the worker builds its own, through the disk
+    tier the parent's base run filled, and persists the stats of those
+    lookups (lock-free: each process only ever overwrites its own file;
+    seeds make no lookups, so the stats are final here).
     """
     global _WORKER_CONFIG, _WORKER_MUTATOR
     # a crashtest kill must land in the *coordinating* process, never
     # nondeterministically in whichever worker wrote first
     durability.disarm_crash_points()
     _WORKER_CONFIG = config
-    _configure_cache(config)
-    _WORKER_MUTATOR = CorpusMutator(config.base_seed,
-                                    scale=config.scale)
-    adopted = False
-    if snapshot_path:
-        adopted = snapshot_store.adopt(_WORKER_MUTATOR, snapshot_path)
-    if not adopted:
-        # no (or torn) snapshot: warm from the cache/regenerate path
-        # once, here, instead of lazily inside the first seed
-        _WORKER_MUTATOR.base_view()
-    _WORKER_MUTATOR.base_spade()
-    if config.cache_dir:
-        # seeds make no cache lookups, so the worker's stats are final
-        # here (lock-free: each process only ever overwrites its own
-        # file, and a no-op when REPRO_CACHE=off left no disk tier)
-        perfcache.default_cache().persist_stats()
+    if mutator is None:
+        _configure_cache(config)
+        mutator = CorpusMutator(config.base_seed, scale=config.scale)
+        mutator.base_view()
+        mutator.base_spade()
+        if config.cache_dir:
+            perfcache.default_cache().persist_stats()
+    _WORKER_MUTATOR = mutator
 
 
 def _worker_seed(seed: int, attempt: int) -> dict:
@@ -378,7 +365,6 @@ def run_campaign(config: CampaignConfig, *,
 
     disk_cache = _configure_cache(config)
     mutator = CorpusMutator(config.base_seed, scale=config.scale)
-
     if config.jobs <= 1:
         # one warm mutator for the whole inline run: the base corpus
         # is materialized and analyzed once, before the first seed
@@ -391,76 +377,67 @@ def run_campaign(config: CampaignConfig, *,
             record_result(_guarded_run_seed(seed, config,
                                             attempt=tries[seed],
                                             mutator=mutator))
-        if disk_cache:
-            perfcache.default_cache().persist_stats()
-        return finish()
-
-    # -- parallel mode: snapshot once, then warm one-seed tasks -------------
-
-    snapshot_path = None
-    scratch_snapshot_root = None
-    if pending:
-        if disk_cache:
-            snapshot_root = os.path.join(config.cache_dir,
-                                         perfcache.SNAPSHOTS_DIR)
-        else:
-            scratch_snapshot_root = tempfile.mkdtemp(
-                prefix="repro-campaign-snap-")
-            snapshot_root = scratch_snapshot_root
-        try:
-            snapshot_path = snapshot_store.materialize(mutator,
-                                                       snapshot_root)
-        except OSError:
-            # a snapshot is an optimization, never a requirement:
-            # workers fall back to the cache/regenerate path
-            snapshot_path = None
-
-    try:
-        while work:
-            executor = ProcessPoolExecutor(
-                max_workers=config.jobs, initializer=_init_worker,
-                initargs=(config, snapshot_path))
-            broken = False
-            inflight: dict = {}   # future -> seed
-            #: when each future was first seen running; a future drops
-            #: out once its stall line is written, so it warns once
-            started: dict = {}
-            try:
-                while inflight or (work and not broken):
-                    while work and not broken \
-                            and len(inflight) < config.jobs \
-                            * INFLIGHT_FACTOR:
-                        seed = work.popleft()
-                        future = executor.submit(_worker_seed, seed,
-                                                 tries[seed])
-                        inflight[future] = seed
-                    finished, _pending = wait(
-                        inflight, timeout=POLL_S,
-                        return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        seed = inflight.pop(future)
-                        started.pop(future, None)
-                        try:
-                            record = future.result()
-                        except BrokenProcessPool:
-                            # a worker died (e.g. OOM-killed) and took
-                            # the pool with it: rebuild after the drain
-                            broken = True
-                            record = failure_record(
-                                seed, "crash",
-                                "worker process pool collapsed")
-                        except Exception:
-                            record = failure_record(
-                                seed, "error", traceback.format_exc())
-                        record_result(record)
-                    _note_stalls(inflight, started, config.timeout_s)
-            finally:
-                # Join the pool: left to the interpreter's exit hook,
-                # its manager thread closes the wakeup pipe the hook
-                # writes to (an EBADF traceback at exit). Every seed is
-                # done by now, or the pool broke, so the join is short.
-                executor.shutdown(wait=True, cancel_futures=True)
-    finally:
-        if scratch_snapshot_root:
-            shutil.rmtree(scratch_snapshot_root, ignore_errors=True)
+    elif work:
+        # the same warm mutator, built before the pool starts so that
+        # forked workers inherit it
+        mutator.base_view()
+        mutator.base_spade()
+        _run_pool(config, mutator, work, tries, record_result)
+    if disk_cache:
+        perfcache.default_cache().persist_stats()
     return finish()
+
+
+def _run_pool(config: CampaignConfig, mutator: CorpusMutator,
+              work: deque, tries: Counter,
+              record_result: Callable[[dict], None]) -> None:
+    """Drain *work* over ``config.jobs`` warm workers, rebuilding the
+    pool after a worker collapse takes it down."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        # explicit: fork is not the default start method everywhere
+        # (CPython 3.14 makes it forkserver on Linux)
+        context = multiprocessing.get_context("fork")
+        initargs = (config, mutator)
+    else:
+        context, initargs = None, (config, None)
+    while work:
+        executor = ProcessPoolExecutor(
+            max_workers=config.jobs, mp_context=context,
+            initializer=_init_worker, initargs=initargs)
+        broken = False
+        inflight: dict = {}   # future -> seed
+        #: when each future was first seen running; a future drops out
+        #: once its stall line is written, so it warns once
+        started: dict = {}
+        try:
+            while inflight or (work and not broken):
+                while work and not broken \
+                        and len(inflight) < config.jobs * INFLIGHT_FACTOR:
+                    seed = work.popleft()
+                    future = executor.submit(_worker_seed, seed,
+                                             tries[seed])
+                    inflight[future] = seed
+                finished, _pending = wait(inflight, timeout=POLL_S,
+                                          return_when=FIRST_COMPLETED)
+                for future in finished:
+                    seed = inflight.pop(future)
+                    started.pop(future, None)
+                    try:
+                        record = future.result()
+                    except BrokenProcessPool:
+                        # a worker died (e.g. OOM-killed) and took the
+                        # pool with it: rebuild after the drain
+                        broken = True
+                        record = failure_record(
+                            seed, "crash", "worker process pool collapsed")
+                    except Exception:
+                        record = failure_record(seed, "error",
+                                                traceback.format_exc())
+                    record_result(record)
+                _note_stalls(inflight, started, config.timeout_s)
+        finally:
+            # Join the pool: left to the interpreter's exit hook, its
+            # manager thread closes the wakeup pipe the hook writes to
+            # (an EBADF traceback at exit). Every seed is done by now,
+            # or the pool broke, so the join is short.
+            executor.shutdown(wait=True, cancel_futures=True)

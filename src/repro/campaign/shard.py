@@ -107,6 +107,24 @@ def _write_atomic(path: str, body: dict) -> None:
     durability.atomic_write_json(path, body, sort_keys=True)
 
 
+def _claim_state(path: str, now: float) -> tuple[float, int, str]:
+    """(age in seconds, generation, owner) of the claim at *path*.
+
+    An unreadable claim is either torn by a dead writer or just created
+    by a live winner that has not written its body yet (between its
+    ``O_EXCL`` create and its body write), so it is aged by the file's
+    mtime, never presumed stale. Raises OSError when the file is gone.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            claim = json.load(handle)
+        return (now - float(claim.get("claimed_at", 0.0)),
+                int(claim.get("generation", 0)),
+                str(claim.get("owner", "unknown")))
+    except (OSError, ValueError):
+        return now - os.stat(path).st_mtime, 0, "unknown"
+
+
 def try_claim(shard_dir: str, shard: Shard, *,
               stale_after_s: float = DEFAULT_STALE_CLAIM_S) -> dict | None:
     """Claim *shard*; returns the claim body on success, None if it is
@@ -126,19 +144,10 @@ def try_claim(shard_dir: str, shard: Shard, *,
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         try:
-            with open(path, encoding="utf-8") as handle:
-                current = json.load(handle)
-            age = time.time() - float(current.get("claimed_at", 0.0))
-            generation = int(current.get("generation", 0))
-        except (OSError, ValueError):
-            # an unreadable claim is either torn by a dead writer or
-            # just created by a live winner that has not written its
-            # body yet: age it by the file's mtime, not as stale
-            try:
-                age = time.time() - os.stat(path).st_mtime
-            except OSError:
-                age = float("inf")
-            generation = 0
+            age, generation, _ = _claim_state(path, time.time())
+        except OSError:
+            # the claim vanished since the create failed
+            age, generation = float("inf"), 0
         if age <= stale_after_s:
             return None
         body = _claim_body(shard, generation=generation + 1)
@@ -273,13 +282,9 @@ def collect_stale_claims(shard_dir: str, config: CampaignConfig, *,
                 or not os.path.exists(path):
             continue
         try:
-            with open(path, encoding="utf-8") as handle:
-                claim = json.load(handle)
-            age = now - float(claim.get("claimed_at", 0.0))
-            owner = str(claim.get("owner", "unknown"))
-        except (OSError, ValueError):
-            # torn claim: its writer died mid-replace; always stale
-            age, owner = float("inf"), "unknown"
+            age, _, owner = _claim_state(path, now)
+        except OSError:
+            continue
         if age <= stale_after_s:
             continue
         try:
@@ -287,8 +292,7 @@ def collect_stale_claims(shard_dir: str, config: CampaignConfig, *,
         except OSError:
             continue
         collected.append(shard.index)
-        message = stale_claim_message(shard.index, owner,
-                                      min(age, now))
+        message = stale_claim_message(shard.index, owner, age)
         if on_collect is not None:
             on_collect(message)
         else:

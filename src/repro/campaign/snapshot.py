@@ -1,43 +1,25 @@
-"""Shared on-disk base-corpus snapshots for warm campaign workers.
+"""On-disk base-corpus snapshots, kept only for ``perfbench/rep.py``.
 
-The parallel-campaign regression had three ingredients; this module
-removes the biggest one. Before, every worker process materialized its
-own copy of the generated base corpus -- either by regenerating ~450
-files or by walking ~450 individual JSON cache entries -- once per
-process (and before PR 3, once per *seed*). A snapshot materializes
-the corpus exactly once, in the parent, as two files:
+No campaign reads a snapshot: parallel workers fork from the parent
+and inherit its warm mutator (see :mod:`repro.campaign.runner`).
+``perfbench/rep.py`` and ``perfbench/spans.py`` are the only callers of
+:func:`materialize` left, and the benchmark's files change only in a
+change of their own, which deletes this module with them.
 
-``corpus.bin``
-    every file's UTF-8 text concatenated into one blob. Workers map
-    it with :mod:`mmap`, so N workers on one host share the same page
-    cache pages instead of N private heaps of JSON decoding.
-``index.json``
-    the snapshot's self-description: schema, content key, per-file
-    ``[path, offset, length]`` table into the blob, and the manifest's
-    ground-truth sites.
-
-Snapshots are **content-addressed**: the directory name is derived
-from the same (generator version, seed, composition) key the
-perfcache corpus namespace uses, so concurrent runners -- including
-independent sharded-queue processes pointed at one ``--shard-dir`` --
-cooperate instead of clobbering each other: whoever materializes
-first wins, everyone else opens the result read-only. Writes go
-through ``tempfile`` + ``os.replace`` with ``index.json`` last, so a
-snapshot directory with an index is complete by construction; a
-killed writer leaves no torn snapshot, only an ignorable partial.
+A snapshot is two files in a content-addressed directory (named from
+the same key as the perfcache corpus entry): ``corpus.bin``, every
+file's UTF-8 text concatenated, and ``index.json``, the per-file
+``[path, offset, length]`` table and the manifest's ground-truth
+sites. Writes go through ``tempfile`` + ``os.replace`` with
+``index.json`` last, so a directory with an index is complete.
 """
 
 from __future__ import annotations
 
-import json
-import mmap
 import os
 
 from repro import durability
 from repro.campaign.mutate import CorpusMutator
-from repro.corpus.generate import SourceTree
-from repro.corpus.manifest import CallSiteTruth, Manifest
-from repro.errors import CampaignError
 
 #: bump when the on-disk snapshot layout changes
 SNAPSHOT_SCHEMA = 1
@@ -46,16 +28,19 @@ INDEX_NAME = "index.json"
 BLOB_NAME = "corpus.bin"
 
 
+# only perfbench/rep.py uses this (through materialize)
 def snapshot_dir(root: str, mutator: CorpusMutator) -> str:
     """The content-addressed directory one mutator's snapshot lives in."""
     return os.path.join(root, f"snap-{mutator.base_key()[:24]}")
 
 
+# only perfbench/rep.py uses this (through materialize)
 def is_complete(directory: str) -> bool:
     """True when *directory* holds a finished snapshot (index present)."""
     return os.path.exists(os.path.join(directory, INDEX_NAME))
 
 
+# only perfbench/rep.py calls this (perfbench/spans.py times it)
 def materialize(mutator: CorpusMutator, root: str) -> str:
     """Write (or reuse) the snapshot for *mutator* under *root*.
 
@@ -92,84 +77,3 @@ def materialize(mutator: CorpusMutator, root: str) -> str:
     durability.atomic_write_json(os.path.join(directory, INDEX_NAME),
                                  index, separators=(",", ":"))
     return directory
-
-
-def load(directory: str) -> tuple[SourceTree, Manifest]:
-    """Open a snapshot read-only and decode it into a base pair.
-
-    The blob is mapped, not read: the single sequential decode pass
-    touches each page once and every concurrent worker on the host
-    shares those pages. Raises :class:`CampaignError` on a missing or
-    torn snapshot -- callers fall back to the perfcache/regenerate
-    path.
-    """
-    index_path = os.path.join(directory, INDEX_NAME)
-    blob_path = os.path.join(directory, BLOB_NAME)
-    try:
-        with open(index_path, encoding="utf-8") as handle:
-            index = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CampaignError(f"snapshot {directory}: bad index: {exc}")
-    if index.get("schema") != SNAPSHOT_SCHEMA:
-        raise CampaignError(
-            f"snapshot {directory}: schema "
-            f"{index.get('schema')!r} != {SNAPSHOT_SCHEMA}")
-    files: dict[str, str] = {}
-    needed = max((offset + length for _path, offset, length
-                  in index.get("files", [])), default=0)
-    try:
-        with open(blob_path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size < needed:
-                # truncated blob (writer died or disk filled): a slice
-                # past EOF would silently yield short text
-                raise CampaignError(
-                    f"snapshot {directory}: blob holds {size} bytes, "
-                    f"index expects {needed}")
-            if size == 0:
-                view = b""
-                for path, offset, length in index["files"]:
-                    files[path] = ""
-            else:
-                view = mmap.mmap(handle.fileno(), 0,
-                                 access=mmap.ACCESS_READ)
-                try:
-                    for path, offset, length in index["files"]:
-                        files[path] = view[offset:offset + length] \
-                            .decode("utf-8")
-                finally:
-                    view.close()
-    except (OSError, ValueError, KeyError, IndexError,
-            UnicodeDecodeError) as exc:
-        raise CampaignError(f"snapshot {directory}: bad blob: {exc}")
-    try:
-        manifest = Manifest([
-            CallSiteTruth(path, line, category, frozenset(exposures))
-            for path, line, category, exposures in index["sites"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CampaignError(f"snapshot {directory}: bad sites: {exc}")
-    return SourceTree(files), manifest
-
-
-def adopt(mutator: CorpusMutator, directory: str) -> bool:
-    """Load *directory* into *mutator* as its canonical base.
-
-    Returns False (leaving the mutator on its regenerate/cache path)
-    when the snapshot is missing or torn, or when its content key does
-    not match the mutator -- a snapshot must never silently swap the
-    corpus under a differently-configured campaign.
-    """
-    try:
-        with open(os.path.join(directory, INDEX_NAME),
-                  encoding="utf-8") as handle:
-            key = json.load(handle).get("key")
-    except (OSError, ValueError):
-        return False
-    if key != mutator.base_key():
-        return False
-    try:
-        tree, manifest = load(directory)
-    except CampaignError:
-        return False
-    mutator.adopt_base(tree, manifest)
-    return True

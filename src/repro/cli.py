@@ -526,7 +526,7 @@ def cmd_campaign(args) -> int:
     seen_features: set = set()
     saturation = SaturationTracker()
 
-    def note_coverage(record: dict) -> None:
+    def note_coverage(record: dict, quiet: bool = False) -> None:
         # the live saturation line: printed when a seed contributes a
         # new feature map-wide or when the plateau flag flips on, so a
         # long saturated campaign stays quiet instead of repeating
@@ -539,7 +539,8 @@ def cmd_campaign(args) -> int:
         seen_features.update(coverage.get("features", {}))
         was_plateaued = saturation.plateaued
         saturation.feed(novel)
-        if novel or (saturation.plateaued and not was_plateaued):
+        if not quiet and (novel
+                          or (saturation.plateaued and not was_plateaued)):
             print(format_saturation(saturation))
 
     def progress(record: dict, prefix: str = "") -> None:
@@ -607,6 +608,15 @@ def cmd_campaign(args) -> int:
                 progress=lambda name, record: progress(record,
                                                        f"[{name}] "))
         else:
+            if config.resume and config.output:
+                # the resumed seeds' features are already in the map,
+                # so the first new seed's are not all new
+                from repro.campaign.results import load_records
+                wanted = set(config.seeds)
+                for seed, record in sorted(
+                        load_records(config.output).items()):
+                    if seed in wanted:
+                        note_coverage(record, quiet=True)
             summary = run_campaign(config, progress=progress)
     finally:
         if config.cache_dir:

@@ -58,9 +58,6 @@ class Manifest:
     def nr_files(self) -> int:
         return len({s.path for s in self.sites})
 
-    def calls_with(self, exposure: str) -> list[CallSiteTruth]:
-        return [s for s in self.sites if exposure in s.exposures]
-
     def table2_rows(self) -> dict[str, tuple[int, int]]:
         """Ground-truth Table 2: row -> (#calls, #files)."""
         def row(*exposures: str) -> tuple[int, int]:

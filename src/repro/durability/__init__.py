@@ -1,9 +1,9 @@
 """repro.durability -- one crash-consistent persistence layer.
 
 Every artifact this reproduction values -- campaign results JSONL, the
-per-backend CoverageMap, the mmap'd corpus snapshot, shard claims,
-perfcache entries, BENCH reports and history -- goes to
-disk through this package, one way per job:
+per-backend CoverageMap, shard claims, perfcache entries, BENCH
+reports and history -- goes to disk through this package, one way per
+job:
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` /
 :func:`atomic_write_json`

@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 from repro import faults, trace
 from repro.faults.spec import FaultSpec
 
+#: events the whole chaos run's flight recorder keeps
+TRACE_CAPACITY = 65536
+
 #: workloads phase A runs, in stream order (stream = list index)
 PHASE_A_WORKLOADS = ("compile-ping", "storage", "ringflood")
 
@@ -210,7 +213,7 @@ def run_chaos(spec: FaultSpec, scratch: str, *, seed: int = 5,
               rounds: int = 40, commands: int = 48,
               profile_boots: int = 8, campaign_seeds: int = 2,
               campaign_scale: float = 0.08, jobs: int = 1,
-              retry: int = 2, trace_capacity: int = 65536,
+              retry: int = 2,
               backend: str | None = None) -> ChaosReport:
     """Run both chaos phases under *spec*; never raises for injected
     faults (they become report entries), only for genuine bugs."""
@@ -219,7 +222,7 @@ def run_chaos(spec: FaultSpec, scratch: str, *, seed: int = 5,
                          armed_sites=tuple(sorted(spec.sites)))
     faults.reset_fired_counts()
 
-    with trace.session(capacity=trace_capacity) as recorder:
+    with trace.session(capacity=TRACE_CAPACITY) as recorder:
         for stream, name in enumerate(PHASE_A_WORKLOADS):
             plan = kernel_spec.compile(stream=stream) \
                 if kernel_spec.rules else None

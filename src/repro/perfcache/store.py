@@ -5,7 +5,7 @@ Layout of one cache directory::
     <dir>/CACHE.json                     marker + schema version
     <dir>/<namespace>/<kk>/<key>.json    one entry per content key
     <dir>/stats/STATS-<pid>-<id>.json    per-process CacheStats
-    <dir>/snapshots/snap-<key>/          parallel-campaign base corpora
+    <dir>/snapshots/snap-<key>/          benchmark base-corpus snapshots
 
 Keys are hex SHA-256 digests of whatever identifies the computation
 (source bytes, analyzer versions, parameters); ``<kk>`` is the first
@@ -58,8 +58,8 @@ DEFAULT_MEMORY_ENTRIES = 8192
 #: subdirectory holding per-process persisted CacheStats snapshots
 STATS_DIR = "stats"
 
-#: subdirectory where parallel campaigns put their base-corpus
-#: snapshots (see :mod:`repro.campaign.snapshot`)
+#: subdirectory holding base-corpus snapshots: no campaign writes one,
+#: and only perfbench/rep.py does (see :mod:`repro.campaign.snapshot`)
 SNAPSHOTS_DIR = "snapshots"
 
 
@@ -325,7 +325,7 @@ class PerfCache:
 
     def disk_usage(self) -> list[NamespaceUsage]:
         """Entry counts and byte totals per namespace on disk, then the
-        campaign snapshots (one entry per snapshot directory)."""
+        base-corpus snapshots (one entry per snapshot directory)."""
         out = []
         if self.directory is None or not os.path.isdir(self.directory):
             return out

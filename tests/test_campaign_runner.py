@@ -64,6 +64,54 @@ def test_parallel_campaign_matches_inline(tmp_path):
     assert inline.disagreements == parallel.disagreements
 
 
+def _log_base_analyses(monkeypatch, log) -> None:
+    """Append the pid of every process that builds a full (non-delta)
+    SPADE analysis to *log*; forked workers inherit the patch."""
+    from repro.core.spade import Spade
+    original = Spade.__init__
+
+    def init(self, tree, **kwargs):
+        if kwargs.get("base") is None:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+        original(self, tree, **kwargs)
+
+    monkeypatch.setattr(Spade, "__init__", init)
+
+
+def _digests(config: CampaignConfig) -> tuple[str, str]:
+    from repro.campaign.results import findings_digest
+    from repro.coverage import CoverageMap, coverage_map_path
+    return (findings_digest(load_records(config.output)),
+            CoverageMap.load(coverage_map_path(config.output)).digest)
+
+
+def test_pool_workers_inherit_the_parents_base_analysis(tmp_path,
+                                                        monkeypatch):
+    log = tmp_path / "analyses"
+    _log_base_analyses(monkeypatch, log)
+    config = _config(tmp_path, jobs=2, nr_seeds=4)
+    assert run_campaign(config).all_ok
+    # the parent built the base analysis once; no worker built one
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_pool_without_fork_reproduces_inline_digests(tmp_path,
+                                                     monkeypatch):
+    import multiprocessing
+    inline = _config(tmp_path / "a", nr_seeds=4)
+    assert run_campaign(inline).all_ok
+    log = tmp_path / "analyses"
+    _log_base_analyses(monkeypatch, log)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    pooled = _config(tmp_path / "b", jobs=2, nr_seeds=4)
+    assert run_campaign(pooled).all_ok
+    assert _digests(pooled) == _digests(inline)
+    # with no fork start method each worker built its own base
+    assert set(log.read_text().split()) - {str(os.getpid())}
+
+
 def test_resume_skips_completed_seeds(tmp_path):
     config = _config(tmp_path)
     run_campaign(config)

@@ -1,4 +1,5 @@
-"""Shared base-corpus snapshots and warm-worker parallel dispatch."""
+"""Base-corpus snapshots (written now only by the benchmark), the
+shared read-only base, and warm-worker parallel dispatch."""
 
 import os
 
@@ -21,16 +22,6 @@ def _config(tmp_path, **overrides) -> CampaignConfig:
 # -- the snapshot store ------------------------------------------------------
 
 
-def test_materialize_load_round_trip(tmp_path):
-    mutator = CorpusMutator(2021, scale=SCALE)
-    directory = snapshot_store.materialize(mutator, str(tmp_path))
-    assert snapshot_store.is_complete(directory)
-    tree, manifest = snapshot_store.load(directory)
-    base_tree, base_manifest = mutator.base_view()
-    assert tree.files == base_tree.files
-    assert set(manifest.sites) == set(base_manifest.sites)
-
-
 def test_materialize_is_idempotent(tmp_path):
     mutator = CorpusMutator(2021, scale=SCALE)
     first = snapshot_store.materialize(mutator, str(tmp_path))
@@ -47,33 +38,6 @@ def test_snapshot_is_content_addressed(tmp_path):
     other_seed = snapshot_store.snapshot_dir(
         str(tmp_path), CorpusMutator(7, scale=SCALE))
     assert small != other_seed
-
-
-def test_adopt_rejects_mismatched_and_torn_snapshots(tmp_path):
-    mutator = CorpusMutator(2021, scale=SCALE)
-    directory = snapshot_store.materialize(mutator, str(tmp_path))
-    # wrong configuration: different base seed must refuse the adopt
-    assert not snapshot_store.adopt(CorpusMutator(7, scale=SCALE),
-                                    directory)
-    # torn blob: fall back, never crash
-    with open(os.path.join(directory, "corpus.bin"), "wb") as handle:
-        handle.write(b"x")
-    assert not snapshot_store.adopt(CorpusMutator(2021, scale=SCALE),
-                                    directory)
-    # missing snapshot entirely
-    assert not snapshot_store.adopt(mutator, str(tmp_path / "nope"))
-
-
-def test_adopted_base_derives_identical_mutants(tmp_path):
-    cold = CorpusMutator(2021, scale=SCALE)
-    directory = snapshot_store.materialize(cold, str(tmp_path))
-    warm = CorpusMutator(2021, scale=SCALE)
-    assert snapshot_store.adopt(warm, directory)
-    a = cold.derive(11, 4)
-    b = warm.derive(11, 4)
-    assert a.tree.files == b.tree.files
-    assert [m.to_json() for m in a.mutations] == \
-        [m.to_json() for m in b.mutations]
 
 
 def test_derive_never_mutates_the_shared_base(tmp_path):

@@ -399,6 +399,33 @@ def test_cli_campaign_merge_surfaces_missing_seeds(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_live_coverage_line_counts_resumed_seeds(tmp_path, capsys):
+    """The resumed seeds' features are folded in before the first new
+    seed, so the last live total is the saved map's."""
+    from repro.cli import main
+    output = str(tmp_path / "results.jsonl")
+
+    def campaign(nr_seeds: int, *extra: str) -> list[str]:
+        assert main(["campaign", "--seeds", str(nr_seeds),
+                     "--scale", "0.05", "--mutations", "2",
+                     "--trace-events", "0", "--output", output,
+                     "--cache-dir", "", *extra]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("coverage: ")
+                and " features | " in line]
+
+    def total(line: str) -> int:
+        return int(line.split()[1])
+
+    first = campaign(3)
+    resumed = campaign(6, "--resume")
+    assert resumed
+    # no live line after the resume counts fewer features than before it
+    assert all(total(line) >= total(first[-1]) for line in resumed)
+    assert total(resumed[-1]) == \
+        CoverageMap.load(coverage_map_path(output)).nr_features
+
+
 # -- satellite: torn trailing trace line ------------------------------------
 
 def test_load_jsonl_heals_a_torn_trailing_line(tmp_path):

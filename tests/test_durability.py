@@ -5,7 +5,7 @@ Three tiers, matching the module:
 * unit: durability modes, atomic writes, checksummed append/replay,
   torn-tail healing, stale-tmp and stale-claim GC;
 * property: truncate-at-every-byte-offset recovery for the coverage
-  map, the corpus snapshot, and journaled JSONL streams -- a torn
+  map and journaled JSONL streams -- a torn
   artifact must either load a valid prefix or fail loudly, never
   return silently wrong data;
 * process: ``REPRO_CRASH`` really kills (exit 137), the census
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro import durability, faults
 from repro.campaign import CampaignConfig, run_campaign
-from repro.campaign import snapshot as snapshot_store
 from repro.campaign.results import findings_digest, load_records
 from repro.coverage import CoverageMap
 from repro.errors import CampaignError, FaultError
@@ -346,12 +345,40 @@ def test_torn_claim_counts_as_stale(tmp_path):
                             output=str(tmp_path / "results.jsonl"))
     shard_dir = str(tmp_path / "queue")
     os.makedirs(shard_dir)
-    (tmp_path / "queue" / "claim-0.json").write_text('{"owner": "h')
+    torn = tmp_path / "queue" / "claim-0.json"
+    torn.write_text('{"owner": "h')
+    ancient = time.time() - 1000.0
+    os.utime(torn, (ancient, ancient))
     messages = []
     assert collect_stale_claims(shard_dir, config, shard_size=2,
                                 stale_after_s=60.0,
                                 on_collect=messages.append) == [0]
     assert "unknown" in messages[0]
+    # aged by its mtime, like the steal path ages it
+    age = int(messages[0].split("silent ")[1].split("s,")[0])
+    assert 1000 <= age < 1100
+
+
+def test_fresh_unreadable_claim_survives_gc_and_steal(tmp_path):
+    """A claim created a moment ago with no body yet belongs to a live
+    winner between its O_EXCL create and its body write: neither the
+    merge GC nor another runner's steal may take it."""
+    from repro.campaign import CampaignConfig
+    from repro.campaign.shard import (Shard, collect_stale_claims,
+                                      try_claim)
+    config = CampaignConfig(nr_seeds=2, seed_base=1,
+                            output=str(tmp_path / "results.jsonl"))
+    shard_dir = str(tmp_path / "queue")
+    os.makedirs(shard_dir)
+    fresh = tmp_path / "queue" / "claim-0.json"
+    fresh.write_text("")
+    messages = []
+    assert collect_stale_claims(shard_dir, config, shard_size=2,
+                                stale_after_s=60.0,
+                                on_collect=messages.append) == []
+    assert fresh.exists() and not messages
+    assert try_claim(shard_dir, Shard(0, 1, 2), stale_after_s=60.0) is None
+    assert fresh.read_text() == ""
 
 
 # -- truncate-at-every-byte-offset recovery ----------------------------------
@@ -379,63 +406,6 @@ def test_coverage_map_survives_truncation_at_every_offset(tmp_path):
         # anything shorter must fail loudly, never half-load
         with pytest.raises(CampaignError):
             CoverageMap.load(torn)
-
-
-def _tiny_snapshot(tmp_path):
-    directory = str(tmp_path / "snap")
-    os.makedirs(directory)
-    files = {"a.c": "int a;\n", "dir/b.c": "int bb;\n"}
-    chunks, offsets, position = [], [], 0
-    for path in sorted(files):
-        data = files[path].encode("utf-8")
-        chunks.append(data)
-        offsets.append([path, position, len(data)])
-        position += len(data)
-    with open(os.path.join(directory, snapshot_store.BLOB_NAME),
-              "wb") as handle:
-        handle.write(b"".join(chunks))
-    index = {"schema": snapshot_store.SNAPSHOT_SCHEMA, "key": "k",
-             "files": offsets,
-             "sites": [["a.c", 1, "map_single", ["read"]]]}
-    with open(os.path.join(directory, snapshot_store.INDEX_NAME), "w",
-              encoding="utf-8") as handle:
-        json.dump(index, handle, separators=(",", ":"))
-    return directory, files
-
-
-def test_snapshot_index_truncation_fails_loudly_at_every_offset(
-        tmp_path):
-    directory, files = _tiny_snapshot(tmp_path)
-    index_path = os.path.join(directory, snapshot_store.INDEX_NAME)
-    with open(index_path, "rb") as handle:
-        pristine = handle.read()
-    for offset in range(len(pristine)):
-        with open(index_path, "wb") as handle:
-            handle.write(pristine)
-        durability.truncate_file(index_path, offset)
-        with pytest.raises(CampaignError):
-            snapshot_store.load(directory)
-    with open(index_path, "wb") as handle:
-        handle.write(pristine)
-    tree, _manifest = snapshot_store.load(directory)
-    assert tree.files == files
-
-
-def test_snapshot_blob_truncation_fails_loudly_at_every_offset(
-        tmp_path):
-    directory, files = _tiny_snapshot(tmp_path)
-    blob_path = os.path.join(directory, snapshot_store.BLOB_NAME)
-    with open(blob_path, "rb") as handle:
-        pristine = handle.read()
-    for offset in range(len(pristine)):
-        with open(blob_path, "wb") as handle:
-            handle.write(pristine)
-        durability.truncate_file(blob_path, offset)
-        with pytest.raises(CampaignError, match="blob"):
-            snapshot_store.load(directory)
-    with open(blob_path, "wb") as handle:
-        handle.write(pristine)
-    assert snapshot_store.load(directory)[0].files == files
 
 
 def test_journal_truncation_yields_clean_prefix_at_every_offset(

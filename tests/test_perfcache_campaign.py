@@ -12,6 +12,7 @@ and backends.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -164,6 +165,38 @@ def test_seed_records_identical_across_cache_states(tmp_path):
                 for path, text in base.items()} & whole
 
 
+@pytest.mark.parametrize("state", ["cold", "warm"])
+def test_pool_campaign_persists_the_lookups_of_an_inline_one(tmp_path,
+                                                             state):
+    """Pool workers inherit the parent's base analysis, so a jobs=2
+    campaign makes exactly a jobs=1 campaign's lookups, all in the
+    parent, which persists them once."""
+    start = tmp_path / "start"
+    if state == "warm":
+        assert run_campaign(CampaignConfig(
+            nr_seeds=2, seed_base=100, scale=SCALE, base_seed=BASE_SEED,
+            mutations_per_seed=3, output=None,
+            cache_dir=str(start))).all_ok
+        perfcache.reset_default()
+        shutil.rmtree(start / perfcache.STATS_DIR)
+    else:
+        start.mkdir()
+    totals = {}
+    for jobs in (1, 2):
+        cache_dir = tmp_path / f"jobs{jobs}"
+        shutil.copytree(start, cache_dir)
+        assert run_campaign(CampaignConfig(
+            nr_seeds=4, jobs=jobs, scale=SCALE, base_seed=BASE_SEED,
+            mutations_per_seed=3,
+            output=str(tmp_path / f"jobs{jobs}.jsonl"),
+            cache_dir=str(cache_dir))).all_ok
+        perfcache.reset_default()
+        totals[jobs] = perfcache.PerfCache(
+            str(cache_dir)).aggregate_persisted_stats()
+    assert totals[1].lookups > 0
+    assert totals[2] == totals[1]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_repro_cache_off_turns_off_a_campaign_cache_dir(tmp_path,
                                                         monkeypatch, jobs):
@@ -181,6 +214,6 @@ def test_repro_cache_off_turns_off_a_campaign_cache_dir(tmp_path,
     assert _entry_files(cached.cache_dir)
     monkeypatch.setenv("REPRO_CACHE", "off")
     off = campaign("off")
-    # no entries, stats, marker or snapshot: the directory never appears
+    # no entries, stats or marker: the directory never appears
     assert not os.path.exists(off.cache_dir)
     assert _identity(off.output) == _identity(cached.output)
