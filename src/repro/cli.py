@@ -21,7 +21,7 @@ Subcommands mirror the paper's workflow:
   analysis cache
 * ``bench``     -- tracked perf benchmarks with a JSONL history and a
   rolling-median regression gate
-* ``chaos``     -- run the standard workloads and a differential
+* ``chaos``     -- run the named workloads and a differential
   campaign under a deterministic fault-injection plan; exit nonzero
   only on faults the stack failed to recover from
 * ``crashtest`` -- kill a campaign at every reachable write, resume
@@ -208,16 +208,12 @@ def cmd_audit(args) -> int:
 
 def cmd_sanitize(args) -> int:
     from repro.core.dkasan import DKasan, format_report
-    from repro.sim.kernel import Kernel
-    from repro.sim.workload import run_compile_and_ping
+    from repro.sim.workload import run_named_workload
 
-    dkasan = DKasan(256 << 20)
-    kernel = Kernel(seed=args.seed, phys_mb=256, sink=dkasan)
-    nic = kernel.add_nic("eth0")
-    stats = run_compile_and_ping(kernel, nic, rounds=args.rounds)
-    print(f"workload: {stats.allocations} allocations, "
-          f"{stats.pings} pings\n")
-    print(format_report(dkasan))
+    kernel, detail = run_named_workload("compile-ping", args,
+                                        make_sink=DKasan)
+    print(f"workload: {detail}\n")
+    print(format_report(kernel.sink))
     return 0
 
 
@@ -304,27 +300,22 @@ def _prepare_workload(args):
     throwaway kernels) runs here, before the caller installs its
     recorder or registry, so its clocks and allocator churn stay out
     of the victim's numbers. ``boot(make_sink=None)`` then boots the
-    victim kernel (with ``make_sink(phys_bytes)`` as its memory-event
-    sink when given), runs the workload on it, prints the workload's
-    progress line and returns the kernel.
+    victim kernel and runs the workload on it through
+    :func:`~repro.sim.workload.run_named_workload`, prints the
+    workload's progress line and returns the kernel.
     """
-    from repro.mem.accounting import NULL_SINK
-    from repro.sim.kernel import Kernel
-    from repro.sim.workload import NAMED_WORKLOADS
+    from repro.sim.workload import NAMED_WORKLOADS, run_named_workload
 
     backend, error = _resolve_backend(args.backend)
     if error:
         return None, error
-    workload = NAMED_WORKLOADS[args.workload]
-    prepared = workload.prepare(args)
+    prepared = NAMED_WORKLOADS[args.workload].prepare(args)
 
     def boot(make_sink=None):
-        sink = NULL_SINK if make_sink is None \
-            else make_sink(workload.phys_mb << 20)
-        kernel = Kernel(seed=args.seed, phys_mb=workload.phys_mb,
-                        iommu_mode=args.iommu_mode,
-                        iommu_backend=backend, sink=sink)
-        print(workload.run(kernel, args, prepared))
+        kernel, detail = run_named_workload(
+            args.workload, args, prepared, iommu_mode=args.iommu_mode,
+            backend=backend, make_sink=make_sink)
+        print(f"{args.workload}: {detail}")
         return kernel
 
     return boot, None
@@ -526,7 +517,7 @@ def cmd_campaign(args) -> int:
     seen_features: set = set()
     saturation = SaturationTracker()
 
-    def note_coverage(record: dict, quiet: bool = False) -> None:
+    def note_coverage(record: dict, resumed: bool = False) -> None:
         # the live saturation line: printed when a seed contributes a
         # new feature map-wide or when the plateau flag flips on, so a
         # long saturated campaign stays quiet instead of repeating
@@ -538,8 +529,8 @@ def cmd_campaign(args) -> int:
                     if name not in seen_features)
         seen_features.update(coverage.get("features", {}))
         was_plateaued = saturation.plateaued
-        saturation.feed(novel)
-        if not quiet and (novel
+        saturation.feed(novel, resumed=resumed)
+        if not resumed and (novel
                           or (saturation.plateaued and not was_plateaued)):
             print(format_saturation(saturation))
 
@@ -616,7 +607,7 @@ def cmd_campaign(args) -> int:
                 for seed, record in sorted(
                         load_records(config.output).items()):
                     if seed in wanted:
-                        note_coverage(record, quiet=True)
+                        note_coverage(record, resumed=True)
             summary = run_campaign(config, progress=progress)
     finally:
         if config.cache_dir:
@@ -1183,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="run the standard workloads and a differential campaign "
+        help="run the named workloads and a differential campaign "
              "under a deterministic fault-injection plan")
     chaos.add_argument("--plan", metavar="PLAN.json",
                        help="fault plan file (default: the built-in "

@@ -30,14 +30,19 @@ class SaturationTracker:
         self._started_at: float = clock()
         self.nr_seeds = 0
         self.nr_features = 0
+        #: features of seeds an earlier invocation ran (``--resume``)
+        self._resumed_features = 0
         self.last_novel = 0
         self.seeds_since_novel = 0
 
-    def feed(self, novel: int) -> None:
+    def feed(self, novel: int, *, resumed: bool = False) -> None:
         """Account one completed seed that contributed *novel* new
-        features map-wide."""
+        features map-wide. A *resumed* seed ran before this tracker's
+        clock started: its features count in the total, not the rate."""
         self.nr_seeds += 1
         self.last_novel = novel
+        if resumed:
+            self._resumed_features += novel
         if novel > 0:
             self.nr_features += novel
             self.seeds_since_novel = 0
@@ -53,7 +58,7 @@ class SaturationTracker:
         elapsed = self._clock() - self._started_at
         if elapsed <= 0:
             return 0.0
-        return self.nr_features / elapsed
+        return (self.nr_features - self._resumed_features) / elapsed
 
     @property
     def new_features_per_seed(self) -> float:

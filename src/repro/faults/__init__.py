@@ -1,11 +1,13 @@
 """repro.faults -- deterministic fault injection for the whole stack.
 
 The simulated kernel and the tooling around it only ever exercised the
-happy path: allocations never fail, the cache store is never corrupt,
-a crashed campaign worker silently lost its seed. This package is the
-chaos layer that fixes that, in the spirit of DICE / DyMA-Fuzz
+happy path: allocations never fail, devices never drop or truncate a
+packet, a crashed campaign worker silently lost its seed. This package
+is the chaos layer that fixes that, in the spirit of DICE / DyMA-Fuzz
 (PAPERS.md): adversarial peripheral and environment behavior is what
-surfaces the interesting states.
+surfaces the interesting states. Every site in :data:`SITES` is one a
+run can reach: the kernel sites fire inside a workload, the tooling
+sites inside a campaign seed.
 
 Usage mirrors :mod:`repro.trace` and :mod:`repro.metrics`:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 
-from repro import trace
+from repro import metrics, trace
 from repro.errors import (CampaignError, DmaApiError, FaultError,
                           OutOfMemoryError)
 from repro.faults.spec import (KERNEL_SITES, SITES, TOOLING_SITES,
@@ -40,7 +42,7 @@ from repro.faults.spec import (KERNEL_SITES, SITES, TOOLING_SITES,
 __all__ = [
     "KERNEL_SITES", "SITES", "TOOLING_SITES",
     "FaultPlan", "FaultSpec", "Firing", "SiteRule",
-    "InjectedCacheError", "InjectedDmaMapError", "InjectedFault",
+    "InjectedDmaMapError", "InjectedFault",
     "InjectedOutOfMemory", "InjectedWorkerCrash",
     "active", "active_sites", "fired_counts", "fires", "install",
     "reset_fired_counts", "session", "standard_spec",
@@ -62,10 +64,6 @@ class InjectedOutOfMemory(InjectedFault, OutOfMemoryError):
 
 class InjectedDmaMapError(InjectedFault, DmaApiError):
     """``dma_map_single`` failed on command (DMA_MAPPING_ERROR)."""
-
-
-class InjectedCacheError(InjectedFault, OSError):
-    """A perfcache disk-tier read/write hit an injected I/O error."""
 
 
 class InjectedWorkerCrash(InjectedFault, CampaignError):
@@ -144,8 +142,6 @@ def fires(site: str) -> Firing | None:
     _fired_total[site] += 1
     if "fault" in trace.active_categories:
         trace.emit("fault", site, step=firing.step, nth=firing.nth)
-    # lazy: repro.metrics -> collectors -> perfcache -> faults cycle
-    from repro import metrics
     metrics.count("faults", "injected", site=site)
     return firing
 

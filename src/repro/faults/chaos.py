@@ -3,12 +3,15 @@
 Two phases, mirroring the :meth:`~repro.faults.spec.FaultSpec.split`
 partition of the plan:
 
-* **Phase A (kernel faults)** -- the three standard workloads
-  (compile-ping, storage, ringflood) each boot a clean kernel, then
-  run with the plan's kernel-layer rules armed on their own stream.
-  A workload passes when every injected fault is absorbed by a
-  recovery path; an :class:`~repro.faults.InjectedFault` that escapes
-  is an *unrecovered* fault and names its site in the report.
+* **Phase A (kernel faults)** -- each of the named workloads
+  (:data:`~repro.sim.workload.NAMED_WORKLOADS`: compile-ping, storage,
+  ringflood) boots a clean kernel through
+  :func:`~repro.sim.workload.run_named_workload` and runs with the
+  plan's kernel-layer rules armed on its own fault stream. A workload
+  passes when every injected fault is absorbed by a recovery path, and
+  its recovered count is its plan's firings; an
+  :class:`~repro.faults.InjectedFault` that escapes is an
+  *unrecovered* fault and names its site in the report.
 
 * **Phase B (tooling faults)** -- the differential invariant: the
   campaign runs twice at the same seed, once fault-free and once with
@@ -25,15 +28,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro import faults, trace
 from repro.faults.spec import FaultSpec
-
-#: events the whole chaos run's flight recorder keeps
-TRACE_CAPACITY = 65536
-
-#: workloads phase A runs, in stream order (stream = list index)
-PHASE_A_WORKLOADS = ("compile-ping", "storage", "ringflood")
+from repro.sim.workload import NAMED_WORKLOADS, run_named_workload
 
 
 @dataclass
@@ -76,67 +75,31 @@ class ChaosReport:
             and (self.campaign is None or self.campaign.ok)
 
 
-def _nic_recoveries(nic) -> int:
-    stats = nic.stats
-    return (stats.rx_refill_failed + stats.rx_ring_drops
-            + stats.rx_truncated + stats.tx_dropped)
-
-
-def _run_workload(name: str, plan, *, seed: int, rounds: int,
-                  commands: int, profile_boots: int,
-                  backend: str | None = None) -> WorkloadOutcome:
-    """Boot a clean kernel, then run *name* with *plan* armed."""
-    from repro.sim.kernel import Kernel
-
-    if name == "compile-ping":
-        from repro.sim.workload import run_compile_and_ping
-        kernel = Kernel(seed=seed, phys_mb=256, iommu_backend=backend)
-        nic = kernel.add_nic("eth0")
-        with faults.session(plan):
-            stats = run_compile_and_ping(kernel, nic, rounds=rounds)
-        return WorkloadOutcome(
-            name, True,
-            detail=f"{stats.allocations} allocations, "
-                   f"{stats.pings} pings",
-            recovered=stats.faults_recovered + _nic_recoveries(nic))
-
-    if name == "storage":
-        from repro.sim.workload import run_storage_workload
-        kernel = Kernel(seed=seed, phys_mb=256, iommu_backend=backend)
-        with faults.session(plan):
-            stats = run_storage_workload(kernel, commands=commands)
-        return WorkloadOutcome(
-            name, True,
-            detail=f"{stats.commands} commands, "
-                   f"{stats.bytes_transferred} bytes",
-            recovered=stats.faults_recovered)
-
-    # ringflood: replica profiling boots dozens of throwaway kernels;
-    # keep them fault-free so the profile describes the real layout,
-    # then arm the plan for the attack itself. The attack is allowed
-    # to *fail* under faults (dropped descriptors starve the flood) --
-    # that is degradation, not an unrecovered fault.
-    from repro.core.attacks.ringflood import (make_attacker,
-                                              profile_replica_boots,
-                                              run_ringflood)
+def _phase_a_outcome(name: str, options, plan, *,
+                     backend: str | None) -> WorkloadOutcome:
+    """Run workload *name* with *plan* armed; the faults it recovered
+    are the plan's firings."""
     from repro.errors import AttackFailed
-    profile = profile_replica_boots(profile_boots, seed=seed,
-                                    nr_slots=48)
-    victim = Kernel(seed=seed, iommu_backend=backend)
-    nic = victim.add_nic("eth0")
-    device = make_attacker(victim, "eth0")
-    with faults.session(plan):
-        try:
-            report = run_ringflood(victim, nic, device, profile,
-                                   nr_slots=12)
-            detail = f"flooded {report.slots_flooded} slots, " \
-                     f"escalated={report.escalated}"
-        except AttackFailed as exc:
-            # chaos weather thwarting the attacker is a success for
-            # the stack, not a fault that escaped recovery
-            detail = f"attack aborted by injected faults ({exc})"
+
+    # ringflood's replica profiling runs fault-free, so the profile
+    # describes the real layout
+    prepared = NAMED_WORKLOADS[name].prepare(options)
+    try:
+        _kernel, detail = run_named_workload(name, options, prepared,
+                                             backend=backend, plan=plan)
+    except AttackFailed as exc:
+        # chaos weather thwarting the attacker (dropped descriptors
+        # starve the flood) is degradation, not a fault that escaped
+        detail = f"attack aborted by injected faults ({exc})"
+    except faults.InjectedFault as exc:
+        return WorkloadOutcome(name, False,
+                               detail=f"unrecovered injected fault: {exc}",
+                               unrecovered_site=exc.site)
+    except Exception as exc:
+        return WorkloadOutcome(
+            name, False, detail=f"workload crashed under faults: {exc!r}")
     return WorkloadOutcome(name, True, detail=detail,
-                           recovered=_nic_recoveries(nic))
+                           recovered=len(plan.firings) if plan else 0)
 
 
 def _campaign_phase(tooling_spec: FaultSpec, scratch: str, *,
@@ -151,9 +114,7 @@ def _campaign_phase(tooling_spec: FaultSpec, scratch: str, *,
 
     def config(label: str, fault_spec: dict | None) -> CampaignConfig:
         # both runs share one cache directory, which the fault-free
-        # run warms. The plan is armed per seed, and a seed makes no
-        # cache lookup, so the perfcache rules never fire here: their
-        # recovery is exercised on the cache directly
+        # run warms; the plan is armed per seed
         return CampaignConfig(
             nr_seeds=campaign_seeds, seed_base=1, jobs=jobs,
             mutations_per_seed=3, scale=campaign_scale,
@@ -222,28 +183,15 @@ def run_chaos(spec: FaultSpec, scratch: str, *, seed: int = 5,
                          armed_sites=tuple(sorted(spec.sites)))
     faults.reset_fired_counts()
 
-    with trace.session(capacity=TRACE_CAPACITY) as recorder:
-        for stream, name in enumerate(PHASE_A_WORKLOADS):
-            plan = kernel_spec.compile(stream=stream) \
+    options = SimpleNamespace(seed=seed, rounds=rounds, commands=commands,
+                              profile_boots=profile_boots)
+    with trace.session(categories=("fault",)) as recorder:
+        for name, workload in NAMED_WORKLOADS.items():
+            plan = kernel_spec.compile(stream=workload.stream) \
                 if kernel_spec.rules else None
-            try:
-                outcome = _run_workload(name, plan, seed=seed,
-                                        rounds=rounds,
-                                        commands=commands,
-                                        profile_boots=profile_boots,
-                                        backend=backend)
-            except faults.InjectedFault as exc:
-                outcome = WorkloadOutcome(
-                    name, False,
-                    detail=f"unrecovered injected fault: {exc}",
-                    unrecovered_site=exc.site)
-            except Exception as exc:
-                outcome = WorkloadOutcome(
-                    name, False,
-                    detail=f"workload crashed under faults: {exc!r}")
-            report.outcomes.append(outcome)
-        report.nr_fault_events = sum(
-            1 for event in recorder.events if event.category == "fault")
+            report.outcomes.append(
+                _phase_a_outcome(name, options, plan, backend=backend))
+        report.nr_fault_events = recorder.nr_emitted
 
     report.campaign, report.baseline_digest, report.faulted_digest = \
         _campaign_phase(tooling_spec, scratch,

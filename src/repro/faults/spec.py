@@ -41,17 +41,11 @@ KERNEL_SITES = (
 
 #: injection sites in the tooling layer around the kernel
 TOOLING_SITES = (
-    "perfcache.read",          # disk-tier read I/O error
-    "perfcache.write",         # disk-tier write I/O error
-    "perfcache.corrupt",       # bit-flipped entry (fails validation)
     "campaign.worker.crash",   # injected exception inside run_seed
     "campaign.worker.hang",    # injected sleep (arg = seconds)
 )
 
 SITES = KERNEL_SITES + TOOLING_SITES
-
-#: site prefixes that identify tooling-layer rules (see split())
-_TOOLING_PREFIXES = ("perfcache.", "campaign.")
 
 
 def _check_site(site) -> None:
@@ -167,8 +161,7 @@ class FaultSpec:
         campaign workers would legitimately change findings, which
         would break the byte-identical differential invariant.
         """
-        tooling = [r for r in self.rules
-                   if r.site.startswith(_TOOLING_PREFIXES)]
+        tooling = [r for r in self.rules if r.site in TOOLING_SITES]
         kernel = [r for r in self.rules if r not in tooling]
         return (FaultSpec(kernel, seed=self.seed),
                 FaultSpec(tooling, seed=self.seed))
@@ -258,14 +251,11 @@ def standard_spec(seed: int = 0) -> FaultSpec:
     Every rule here injects a failure the stack is expected to absorb:
     allocation failures hit paths with NULL-return recovery, IOTLB
     storms and delayed drains only stretch windows, dropped/truncated
-    packets are normal network weather, cache I/O errors fall back to
-    recompute, and the one worker crash fires only on attempt 0 so a
-    single retry heals it. Trigger cadences are tuned to the default
-    chaos workload sizes so every kernel site and the worker crash
-    fire at least once. The cache rules fire only where a process
-    reads or writes the cache while the plan is armed; ``chaos`` arms
-    it per campaign seed, and a seed makes no cache lookup, so there
-    they never fire.
+    packets are normal network weather, and the one worker crash fires
+    only on attempt 0 so a single retry heals it. Trigger cadences are
+    tuned to the default chaos workload sizes so every kernel site and
+    the worker crash fire at least once; the hang site is left to
+    plans that also set a per-seed timeout.
     """
     return FaultSpec([
         SiteRule("mem.buddy.alloc", every_nth=2, max_fires=2),
@@ -278,8 +268,5 @@ def standard_spec(seed: int = 0) -> FaultSpec:
         SiteRule("net.nic.truncate", every_nth=5, max_fires=3,
                  arg=0.5),
         SiteRule("dma.map", every_nth=25, max_fires=3),
-        SiteRule("perfcache.read", every_nth=3, max_fires=4),
-        SiteRule("perfcache.write", every_nth=3, max_fires=4),
-        SiteRule("perfcache.corrupt", every_nth=5, max_fires=3),
         SiteRule("campaign.worker.crash", at_steps=(0,), on_attempt=0),
     ], seed=seed)

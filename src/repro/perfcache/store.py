@@ -29,9 +29,14 @@ but atomic renames (``os.replace``): two workers racing on the same
 key both write valid files and the last rename wins.
 
 Failure policy: the cache must never turn a working analysis into a
-crash. A corrupted or truncated entry, an undecodable payload, or any
-filesystem error on read/write counts in :class:`CacheStats` and falls
-back to recomputing silently.
+crash. A corrupted, truncated or unreadable entry, or an undecodable
+payload, counts as ``corrupt`` in :class:`CacheStats` and falls back
+to recomputing silently, which re-persists a healthy entry. A write
+that fails counts as a ``write_error``; a genuine filesystem error
+there degrades the disk tier to memory only, with one warning. The
+cache has no fault-injection site: a fault plan is armed per campaign
+seed, and a seed makes no cache lookup, so only real faults reach
+this recovery (``tests/test_perfcache.py`` makes them).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from repro import durability, faults
+from repro import durability
 
 #: bump to invalidate every on-disk entry at once (wire-format changes)
 CACHE_SCHEMA = 1
@@ -225,17 +230,9 @@ class PerfCache:
 
     def _disk_read(self, namespace: str, key: str):
         try:
-            if "perfcache.read" in faults.active_sites \
-                    and faults.fires("perfcache.read"):
-                raise faults.InjectedCacheError("perfcache.read")
             with open(self._entry_path(namespace, key),
                       encoding="utf-8") as handle:
                 record = json.load(handle)
-            if "perfcache.corrupt" in faults.active_sites \
-                    and faults.fires("perfcache.corrupt"):
-                # a flipped bit somewhere in the entry: model it as a
-                # key mismatch, which the validation below rejects
-                record["key"] = f"corrupted-{key[:8]}"
             if record.get("schema") != CACHE_SCHEMA \
                     or record.get("key") != key:
                 self.stats.corrupt += 1
@@ -251,16 +248,12 @@ class PerfCache:
         path = self._entry_path(namespace, key)
         record = {"schema": CACHE_SCHEMA, "key": key, "data": data}
         try:
-            if "perfcache.write" in faults.active_sites \
-                    and faults.fires("perfcache.write"):
-                raise faults.InjectedCacheError("perfcache.write")
             self._write_marker()
             durability.atomic_write_json(path, record,
                                          separators=(",", ":"))
         except (OSError, TypeError, ValueError) as exc:
             self.stats.write_errors += 1
-            if isinstance(exc, OSError) \
-                    and not isinstance(exc, faults.InjectedFault):
+            if isinstance(exc, OSError):
                 self._degrade(exc)
 
     def _write_marker(self) -> None:

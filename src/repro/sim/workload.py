@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro import faults
 from repro.errors import OutOfMemoryError
-from repro.mem.accounting import AllocSite
+from repro.mem.accounting import NULL_SINK, AllocSite
 from repro.mem.phys import PAGE_SIZE
 from repro.net.proto import PROTO_UDP, make_packet
 from repro.net.stack import ECHO_PORT
@@ -363,12 +363,15 @@ def run_storage_workload(kernel: "Kernel", *, device_name: str = "nvme0",
 
 @dataclass(frozen=True)
 class NamedWorkload:
-    """One ``--workload`` of ``repro-dma trace`` and ``metrics``:
-    ``prepare(options)`` runs before the command's recorder or registry
-    is installed, ``run(kernel, options, prepared)`` drives the booted
-    kernel and returns its progress line."""
+    """One named workload of ``repro-dma trace``, ``metrics``,
+    ``sanitize`` and ``chaos``: ``prepare(options)`` runs before the
+    command's recorder or registry is installed, and ``run(kernel,
+    options, prepared, plan)`` drives the booted kernel with the fault
+    *plan* armed and returns its progress detail. ``chaos`` compiles
+    the workload's plan on fault stream ``stream``."""
 
     phys_mb: int
+    stream: int
     run: Callable
     prepare: Callable = lambda options: None
 
@@ -379,31 +382,57 @@ def _profile_ringflood(options):
                                  nr_slots=48)
 
 
-def _run_ringflood(kernel: "Kernel", options, profile) -> str:
+def _run_ringflood(kernel: "Kernel", options, profile, plan) -> str:
     from repro.core.attacks.ringflood import make_attacker, run_ringflood
     nic = kernel.add_nic("eth0")
     device = make_attacker(kernel, "eth0")
-    report = run_ringflood(kernel, nic, device, profile, nr_slots=12)
-    return (f"ringflood: flooded {report.slots_flooded} slots, "
+    with faults.session(plan):
+        report = run_ringflood(kernel, nic, device, profile, nr_slots=12)
+    return (f"flooded {report.slots_flooded} slots, "
             f"hijacked {report.slots_hijacked}, "
             f"escalated={report.escalated}")
 
 
-def _run_compile_ping(kernel: "Kernel", options, _prepared) -> str:
-    stats = run_compile_and_ping(kernel, kernel.add_nic("eth0"),
-                                 rounds=options.rounds)
-    return (f"compile-ping: {stats.allocations} allocations, "
-            f"{stats.pings} pings")
+def _run_compile_ping(kernel: "Kernel", options, _prepared, plan) -> str:
+    nic = kernel.add_nic("eth0")
+    with faults.session(plan):
+        stats = run_compile_and_ping(kernel, nic, rounds=options.rounds)
+    return f"{stats.allocations} allocations, {stats.pings} pings"
 
 
-def _run_storage(kernel: "Kernel", options, _prepared) -> str:
-    stats = run_storage_workload(kernel, commands=options.commands)
-    return (f"storage: {stats.commands} commands, "
-            f"{stats.bytes_transferred} bytes")
+def _run_storage(kernel: "Kernel", options, _prepared, plan) -> str:
+    with faults.session(plan):
+        stats = run_storage_workload(kernel, commands=options.commands)
+    return f"{stats.commands} commands, {stats.bytes_transferred} bytes"
 
 
+#: in fault-stream order, which is also the order ``chaos`` runs them
 NAMED_WORKLOADS: dict[str, NamedWorkload] = {
-    "ringflood": NamedWorkload(1024, _run_ringflood, _profile_ringflood),
-    "compile-ping": NamedWorkload(256, _run_compile_ping),
-    "storage": NamedWorkload(256, _run_storage),
+    "compile-ping": NamedWorkload(256, 0, _run_compile_ping),
+    "storage": NamedWorkload(256, 1, _run_storage),
+    "ringflood": NamedWorkload(1024, 2, _run_ringflood, _profile_ringflood),
 }
+
+
+def run_named_workload(name: str, options, prepared=None, *,
+                       iommu_mode: str = "deferred", backend=None,
+                       make_sink=None, plan=None) -> tuple["Kernel", str]:
+    """Boot workload *name*'s kernel and run its table entry.
+
+    *options* carries the entry's knobs (``seed`` and, per workload,
+    ``rounds``, ``commands`` or ``profile_boots``); *prepared* is what
+    the entry's ``prepare(options)`` returned. ``make_sink(phys_bytes)``
+    builds the kernel's memory-event sink (a D-KASAN instance, say).
+    Only the workload's own driving runs with *plan* armed: the boot
+    and its device set-up stay fault-free. Returns the kernel and the
+    workload's progress detail (``"129 allocations, 37 pings"``).
+    """
+    from repro.sim.kernel import Kernel
+
+    workload = NAMED_WORKLOADS[name]
+    sink = NULL_SINK if make_sink is None \
+        else make_sink(workload.phys_mb << 20)
+    kernel = Kernel(seed=options.seed, phys_mb=workload.phys_mb,
+                    iommu_mode=iommu_mode, iommu_backend=backend,
+                    sink=sink)
+    return kernel, workload.run(kernel, options, prepared, plan)

@@ -292,6 +292,21 @@ def test_saturation_tracker_rates_and_plateau():
     assert not tracker.plateaued
 
 
+def test_saturation_rate_leaves_out_resumed_features():
+    # a --resume folds the earlier invocation's seeds in before its
+    # clock has run: their features belong in the total, not the rate
+    clock = [0.0]
+    tracker = SaturationTracker(clock=lambda: clock[0])
+    tracker.feed(80, resumed=True)
+    tracker.feed(6, resumed=True)
+    clock[0] = 2.0
+    tracker.feed(2)
+    assert tracker.nr_features == 88
+    assert tracker.new_features_per_s == 1.0
+    assert "coverage: 88 features | +2 new | 1.0 new/s" == \
+        format_saturation(tracker)
+
+
 def test_render_coverage_stats_block():
     from repro.report import render_coverage_stats
     cover = CoverageMap()

@@ -66,6 +66,23 @@ def test_spec_json_round_trip():
     assert clone.rules == spec.rules
 
 
+@pytest.mark.parametrize("site", ["perfcache.read", "perfcache.write",
+                                  "perfcache.corrupt"])
+def test_plans_refuse_the_unreachable_cache_sites(site, tmp_path, capsys):
+    # a seed makes no cache lookup, so no run could ever fire these:
+    # a plan naming one is refused instead of silently never firing
+    doc = {"rules": [{"site": site, "every_nth": 1}]}
+    with pytest.raises(FaultError, match="unknown fault site"):
+        FaultSpec.from_json(doc)
+    from repro.cli import main
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    assert main(["campaign", "--seeds", "1", "--fault-plan", str(plan),
+                 "--output", str(tmp_path / "out.jsonl")]) == 2
+    assert f"unknown fault site {site!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_spec_split_partitions_by_layer():
     kernel, tooling = standard_spec().split()
     assert kernel.sites <= frozenset(faults.KERNEL_SITES)
@@ -214,7 +231,6 @@ def test_fires_publishes_trace_and_metrics():
 def test_injected_exceptions_subclass_real_errors():
     assert issubclass(faults.InjectedOutOfMemory, OutOfMemoryError)
     assert issubclass(faults.InjectedDmaMapError, DmaApiError)
-    assert issubclass(faults.InjectedCacheError, OSError)
     assert issubclass(faults.InjectedWorkerCrash, CampaignError)
     exc = faults.InjectedOutOfMemory("mem.slab.kmalloc")
     assert exc.site == "mem.slab.kmalloc"

@@ -109,9 +109,6 @@ def test_retry_budget_exhausts_on_persistent_crash(tmp_path):
 def _tooling_spec() -> FaultSpec:
     return FaultSpec([
         SiteRule("campaign.worker.crash", at_steps=(0,), on_attempt=0),
-        SiteRule("perfcache.read", every_nth=2, max_fires=4),
-        SiteRule("perfcache.write", every_nth=2, max_fires=4),
-        SiteRule("perfcache.corrupt", every_nth=2, max_fires=4),
     ], seed=9)
 
 
@@ -201,7 +198,13 @@ def test_chaos_standard_plan_recovers_everywhere(tmp_path):
     assert report.ok, rendered
     assert report.nr_sites_fired >= 8
     assert report.digests_match
-    assert report.nr_fault_events > 0
+    # a workload's recovered count is its plan's firings, and phase A
+    # records exactly those fault events
+    phase_a = sum(outcome.recovered for outcome in report.outcomes)
+    assert phase_a > 0
+    assert report.nr_fault_events == phase_a
+    assert phase_a == sum(count for site, count in report.fired.items()
+                          if site in faults.KERNEL_SITES)
     assert "chaos verdict: PASS" in rendered
 
 

@@ -135,58 +135,10 @@ def test_workload_fault_schedule_is_deterministic():
     assert first  # the plan actually fired
 
 
-# -- perfcache sites and the degrade-to-memory path --------------------------
+# -- perfcache: real filesystem errors degrade the disk tier -----------------
 
 def _codec():
     return dict(encode=lambda obj: obj, decode=lambda payload: payload)
-
-
-def test_perfcache_injected_read_error_recomputes(tmp_path):
-    writer = PerfCache(str(tmp_path))
-    writer.cached("parse", "k1", lambda: {"v": 1}, **_codec())
-
-    reader = PerfCache(str(tmp_path))
-    with faults.session(_plan(SiteRule("perfcache.read",
-                                       every_nth=1, max_fires=1))):
-        value = reader.cached("parse", "k1", lambda: {"v": 1},
-                              **_codec())
-    assert value == {"v": 1}
-    assert reader.stats.corrupt == 1
-    assert not reader.degraded     # injected I/O errors never degrade
-
-
-def test_perfcache_injected_corruption_rejected(tmp_path):
-    writer = PerfCache(str(tmp_path))
-    writer.cached("parse", "k1", lambda: {"v": 1}, **_codec())
-
-    reader = PerfCache(str(tmp_path))
-    with faults.session(_plan(SiteRule("perfcache.corrupt",
-                                       every_nth=1, max_fires=1))):
-        value = reader.cached("parse", "k1", lambda: {"v": 2},
-                              **_codec())
-    # the bit-flipped entry fails validation; the compute wins
-    assert value == {"v": 2}
-    assert reader.stats.corrupt == 1
-    # and the recompute re-persisted a healthy entry: a clean reader
-    # gets a disk hit (its compute is never called)
-    clean = PerfCache(str(tmp_path))
-    assert clean.cached("parse", "k1", pytest.fail,
-                        **_codec()) == {"v": 2}
-    assert clean.stats.disk_hits == 1
-
-
-def test_perfcache_injected_write_error_does_not_degrade(tmp_path):
-    cache = PerfCache(str(tmp_path))
-    with faults.session(_plan(SiteRule("perfcache.write",
-                                       every_nth=1, max_fires=1))):
-        value = cache.cached("parse", "k1", lambda: {"v": 1},
-                             **_codec())
-    assert value == {"v": 1}
-    assert cache.stats.write_errors == 1
-    assert not cache.degraded
-    # memory tier still serves it
-    assert cache.cached("parse", "k1", lambda: {"v": 2},
-                        **_codec()) == {"v": 1}
 
 
 def test_perfcache_degrades_on_real_oserror(tmp_path, monkeypatch):

@@ -100,6 +100,42 @@ def test_corrupted_disk_entry_recomputes_silently(tmp_path):
     assert value == 42
     assert second.stats.corrupt == 1
     assert second.stats.misses == 1
+    # the recompute re-persisted a healthy entry: a clean reader gets a
+    # disk hit and never computes
+    clean = PerfCache(directory)
+    assert clean.cached("parse", "k", lambda: pytest.fail("recompute"),
+                        encode=lambda obj: obj,
+                        decode=lambda data: data) == 42
+    assert clean.stats.disk_hits == 1
+
+
+def test_unreadable_disk_entry_recomputes_without_degrading(tmp_path):
+    directory = str(tmp_path / "cache")
+    first = PerfCache(directory)
+    first.cached("parse", "k", lambda: 41,
+                 encode=lambda obj: obj, decode=lambda data: data)
+    [entry] = [os.path.join(dirpath, name)
+               for dirpath, _dirs, names in os.walk(
+                   os.path.join(directory, "parse"))
+               for name in names if name.endswith(".json")]
+    # a symlink to itself: open() fails with ELOOP, a real read error
+    # that even root cannot read past, while the re-persist's rename
+    # replaces the link itself
+    os.remove(entry)
+    os.symlink(entry, entry)
+    second = PerfCache(directory)
+    assert second.cached("parse", "k", lambda: 42,
+                         encode=lambda obj: obj,
+                         decode=lambda data: data) == 42
+    assert second.stats.corrupt == 1
+    assert second.stats.write_errors == 0
+    assert not second.degraded
+    assert not os.path.islink(entry)
+    clean = PerfCache(directory)
+    assert clean.cached("parse", "k", lambda: pytest.fail("recompute"),
+                        encode=lambda obj: obj,
+                        decode=lambda data: data) == 42
+    assert clean.stats.disk_hits == 1
 
 
 def test_clear_disk_refuses_nothing_but_never_unrelated_files(tmp_path):
